@@ -209,32 +209,23 @@ class SweepResult:
 
     def to_csv(self, out: TextIO) -> None:
         """Stable column schema, full float precision, deterministic order."""
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in self.rows:
-            a = row.analysis
-            writer.writerow(
-                [
-                    row.row_kind,
-                    row.workload,
-                    "" if row.turn_index is None else row.turn_index,
-                    row.phase.value,
-                    row.batch_size,
-                    row.context_len,
-                    repr(a.metrics.oi),
-                    repr(a.metrics.cf),
-                    repr(a.metrics.flops_per_token),
-                    repr(a.metrics.bytes_per_token),
-                    a.bound_class.value,
-                    repr(a.attainable_tokens_per_s),
-                    repr(a.mfu_est),
-                    repr(a.mbu_est),
-                    a.max_feasible_batch,
-                    a.min_devices,
-                    "" if row.prefill_total_tokens is None else row.prefill_total_tokens,
-                    "" if row.decode_total_tokens is None else row.decode_total_tokens,
-                ]
-            )
+        write_csv(out, CSV_COLUMNS, (
+            (row.row_kind, row.workload, row.turn_index, row.phase.value, row.batch_size,
+             row.context_len, a.metrics.oi, a.metrics.cf, a.metrics.flops_per_token,
+             a.metrics.bytes_per_token, a.bound_class.value, a.attainable_tokens_per_s,
+             a.mfu_est, a.mbu_est, a.max_feasible_batch, a.min_devices,
+             row.prefill_total_tokens, row.decode_total_tokens)
+            for row in self.rows for a in (row.analysis,)
+        ))
+
+
+def write_csv(out: TextIO, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """The CSV dialect of every report: a header, then one line per row tuple.
+    The csv module writes floats with repr (full precision) and None as an
+    empty cell."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
 
 
 def sweep_grid(
@@ -250,24 +241,15 @@ def sweep_grid(
     if not batch_sizes or not context_lens:
         raise ValueError("sweep grid must be non-empty")
     wanted = set(phases)
-    rows: List[SweepRow] = []
-    for phase in (Phase.PREFILL, Phase.DECODE):
-        if phase not in wanted:
-            continue
-        for batch in sorted(set(batch_sizes)):
-            for length in sorted(set(context_lens)):
-                point = OperatingPoint(length, batch, phase)
-                rows.append(
-                    SweepRow(
-                        row_kind="point",
-                        phase=phase,
-                        batch_size=batch,
-                        context_len=length,
-                        analysis=classify(
-                            spec, hw, point, include_activations, replicate_weights
-                        ),
-                    )
-                )
+    batches, lengths = sorted(set(batch_sizes)), sorted(set(context_lens))
+    flags = (include_activations, replicate_weights)
+    rows = [
+        SweepRow("point", phase, batch, length,
+                 classify(spec, hw, OperatingPoint(length, batch, phase), *flags))
+        for phase in (Phase.PREFILL, Phase.DECODE) if phase in wanted
+        for batch in batches
+        for length in lengths
+    ]
     return SweepResult(model=spec.name, hardware=hw.name, rows=tuple(rows))
 
 
@@ -284,53 +266,22 @@ def sweep_workload(
     if trace.final_context < 1:
         raise ValueError(f"workload '{workload.name}' expands to zero tokens")
     batch = workload.batch_size
+    flags = (include_activations, replicate_weights)
+
+    def row(kind: str, phase: Phase, context_len: int, **totals) -> SweepRow:
+        analysis = classify(spec, hw, OperatingPoint(context_len, batch, phase), *flags)
+        return SweepRow(kind, phase, batch, context_len, analysis, workload.name, **totals)
+
     rows: List[SweepRow] = []
     for record in trace.records:
-        prefill_end = record.prefill_start_context + record.prefill_tokens
+        turn = record.turn_index
         if record.prefill_tokens > 0:
-            point = OperatingPoint(prefill_end, batch, Phase.PREFILL)
-            rows.append(
-                SweepRow(
-                    row_kind="point",
-                    phase=Phase.PREFILL,
-                    batch_size=batch,
-                    context_len=prefill_end,
-                    analysis=classify(
-                        spec, hw, point, include_activations, replicate_weights
-                    ),
-                    workload=workload.name,
-                    turn_index=record.turn_index,
-                )
-            )
+            end = record.prefill_start_context + record.prefill_tokens
+            rows.append(row("point", Phase.PREFILL, end, turn_index=turn))
         if len(record.decode_context_lengths) > 0:
-            point = OperatingPoint(record.cumulative_context, batch, Phase.DECODE)
-            rows.append(
-                SweepRow(
-                    row_kind="point",
-                    phase=Phase.DECODE,
-                    batch_size=batch,
-                    context_len=record.cumulative_context,
-                    analysis=classify(
-                        spec, hw, point, include_activations, replicate_weights
-                    ),
-                    workload=workload.name,
-                    turn_index=record.turn_index,
-                )
-            )
+            rows.append(row("point", Phase.DECODE, record.cumulative_context, turn_index=turn))
     prefill_total, decode_total = total_tokens(trace)
-    final = trace.final_context
     for phase in (Phase.PREFILL, Phase.DECODE):
-        point = OperatingPoint(final, batch, phase)
-        rows.append(
-            SweepRow(
-                row_kind="workload_total",
-                phase=phase,
-                batch_size=batch,
-                context_len=final,
-                analysis=classify(spec, hw, point, include_activations, replicate_weights),
-                workload=workload.name,
-                prefill_total_tokens=prefill_total,
-                decode_total_tokens=decode_total,
-            )
-        )
+        rows.append(row("workload_total", phase, trace.final_context,
+                        prefill_total_tokens=prefill_total, decode_total_tokens=decode_total))
     return SweepResult(model=spec.name, hardware=hw.name, rows=tuple(rows))

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: analyze, sweep, compare-attention, compare-moe, agent-profile,
-roofline-plot. Outputs are pure functions of the input files and flags; two
-identical invocations produce byte-identical artifacts.
+roofline-plot, one entry each in COMMANDS: its flags and a builder that
+returns the command's reports.Report. Outputs are pure functions of the input
+files and flags; two identical invocations produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 config error, 3 infeasible analysis (a
 capacity-exceeded point under --strict).
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence
 
 from . import reports
-from .analysis import sweep_grid, sweep_workload
+from .analysis import BoundClass, sweep_grid, sweep_workload
 from .config import ConfigError, list_catalog, resolve_config
 from .model import Phase
 
@@ -26,6 +27,7 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 _SUFFIXES = {"k": 1_000, "m": 1_000_000, "g": 1_000_000_000}
+MAX_RANGE_POINTS = 100_000
 
 
 def parse_scalar(token: str) -> int:
@@ -48,39 +50,29 @@ def _expand_range(expr: str) -> List[int]:
     start, stop = parse_scalar(start_s), parse_scalar(stop_s)
     if start < 1 or stop < start:
         raise ConfigError(f"bad range '{expr}': need 1 <= start <= stop")
-    if mode == "log":
-        values = []
-        value = start
-        while value <= stop:
-            values.append(value)
-            value *= 2
-        if values[-1] != stop:
-            values.append(stop)
-        return values
-    if mode.startswith("log"):
-        count = parse_scalar(mode[3:])
+    if not mode:
+        if stop - start > MAX_RANGE_POINTS:
+            raise ConfigError(f"range '{expr}' enumerates too many points; use :log or :N")
+        return list(range(start, stop + 1))
+    if mode == "log":  # doubling from start; stop is always the last point
+        raw = [start * 2**i for i in range((stop // start).bit_length())] + [stop]
+    else:
+        log = mode.startswith("log")
+        count = parse_scalar(mode[3:] if log else mode)
         if count < 2:
-            raise ConfigError(f"bad range '{expr}': log point count must be >= 2")
-        lo, hi = math.log10(start), math.log10(stop)
-        raw = [round(10 ** (lo + (hi - lo) * i / (count - 1))) for i in range(count)]
-        values = []
-        for v in raw:
-            if not values or v > values[-1]:
-                values.append(v)
-        return values
-    if mode:
-        count = parse_scalar(mode)
-        if count < 2:
-            raise ConfigError(f"bad range '{expr}': point count must be >= 2")
-        raw = [round(start + (stop - start) * i / (count - 1)) for i in range(count)]
-        values = []
-        for v in raw:
-            if not values or v > values[-1]:
-                values.append(v)
-        return values
-    if stop - start > 100_000:
-        raise ConfigError(f"range '{expr}' enumerates too many points; use :log or :N")
-    return list(range(start, stop + 1))
+            raise ConfigError(f"bad range '{expr}': {'log ' if log else ''}point count must be >= 2")
+        if count > MAX_RANGE_POINTS:
+            raise ConfigError(f"bad range '{expr}': point count must be <= {MAX_RANGE_POINTS}")
+        if log:
+            lo, hi = math.log10(start), math.log10(stop)
+            raw = (round(10 ** (lo + (hi - lo) * i / (count - 1))) for i in range(count))
+        else:
+            raw = (round(start + (stop - start) * i / (count - 1)) for i in range(count))
+    values = []
+    for v in raw:
+        if not values or v > values[-1]:
+            values.append(v)
+    return values
 
 
 def parse_grid(text: str) -> Dict[str, List[int]]:
@@ -114,28 +106,142 @@ def parse_int_list(text: str) -> List[int]:
     return [parse_scalar(piece) for piece in text.split(",") if piece.strip()]
 
 
-def _phases(name: str):
-    return {
-        "prefill": (Phase.PREFILL,),
-        "decode": (Phase.DECODE,),
-        "both": (Phase.PREFILL, Phase.DECODE),
-    }[name]
+_PHASES = {
+    "prefill": (Phase.PREFILL,),
+    "decode": (Phase.DECODE,),
+    "both": (Phase.PREFILL, Phase.DECODE),
+}
+_EXTENSIONS = {"csv": "csv", "svg": "svg", "text": "txt"}
 
 
-def _add_common(parser: argparse.ArgumentParser, model_required=True):
-    parser.add_argument("--model", action="append", default=None, required=model_required,
-                        help="bundled model preset name or path to a model config")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", default="csv,svg,text",
-                        help="comma subset of csv,svg,text")
-    parser.add_argument("--allow-unknown-keys", action="store_true",
-                        help="accept unknown config keys instead of rejecting them")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 3 if any analyzed point is capacity_exceeded")
-    parser.add_argument("--include-activations", action="store_true",
-                        help="add the documented per-token activation byte term")
-    parser.add_argument("--replicate-weights", action="store_true",
-                        help="count weights once per device in capacity planning")
+def _single_model(args):
+    if len(args.model) != 1:
+        raise ConfigError("this command takes exactly one --model")
+    return resolve_config(args.model[0], "model", args.allow_unknown_keys)
+
+
+def _compared_models(args):
+    models = [resolve_config(ref, "model", args.allow_unknown_keys) for ref in args.model]
+    if len(models) < 2:
+        raise ConfigError(f"{args.command} needs at least two --model entries")
+    return models
+
+
+def _sweep_report(args, workload_ref, batches, contexts) -> reports.Report:
+    """One model on one hardware over a workload trace or a batch x context
+    grid: the report of analyze, sweep and roofline-plot."""
+    model = _single_model(args)
+    hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
+    flags = (args.include_activations, args.replicate_weights)
+    if workload_ref:
+        workload = resolve_config(workload_ref, "workload", args.allow_unknown_keys)
+        result = sweep_workload(model, hw, workload, *flags)
+    else:
+        result = sweep_grid(model, hw, batches, contexts, _PHASES[args.phase], *flags)
+    return reports.Report(
+        csv=lambda: reports.sweep_csv(result),
+        text=lambda: reports.sweep_text(result),
+        svg=lambda: reports.roofline_svg(model, hw, result, f"{model.name} on {hw.name}"),
+        exceeded=any(r.analysis.bound_class is BoundClass.CAPACITY_EXCEEDED for r in result.rows),
+    )
+
+
+def _analyze(args) -> reports.Report:
+    return _sweep_report(args, None, parse_int_list(args.batch), parse_int_list(args.context))
+
+
+def _roofline_plot(args) -> reports.Report:
+    return _sweep_report(args, args.workload, parse_int_list(args.batch),
+                         parse_int_list(args.context))
+
+
+def _sweep(args) -> reports.Report:
+    if (args.grid is None) == (args.workload is None):
+        raise ConfigError("sweep needs exactly one of --grid or --workload")
+    grid = parse_grid(args.grid) if args.grid else {}
+    return _sweep_report(args, args.workload, grid.get("B", [1]), grid.get("L", [4096]))
+
+
+def _compare_attention(args) -> reports.Report:
+    models = _compared_models(args)
+    lengths = parse_grid(args.grid).get("L")
+    if not lengths:
+        raise ConfigError("compare-attention grid must define the L dimension")
+    rows = reports.compare_attention_rows(models, lengths, args.batch)
+    return reports.Report(
+        csv=lambda: reports.compare_attention_csv(models, rows),
+        text=lambda: reports.compare_attention_text(models, rows, args.batch),
+        svg=lambda: reports.compare_attention_svg(models, rows, args.batch),
+    )
+
+
+def _compare_moe(args) -> reports.Report:
+    models = _compared_models(args)
+    rows = reports.compare_moe_rows(models, parse_int_list(args.batch), args.context,
+                                    args.include_activations)
+    return reports.Report(
+        csv=lambda: reports.compare_moe_csv(rows),
+        text=lambda: reports.compare_moe_text(rows, args.context),
+        svg=lambda: reports.compare_moe_svg(rows, args.context),
+    )
+
+
+def _agent_profile(args) -> reports.Report:
+    model = _single_model(args)
+    hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
+    refs = args.workload or list_catalog("workload")
+    workloads = [resolve_config(ref, "workload", args.allow_unknown_keys) for ref in refs]
+    rows = reports.agent_profile_rows(model, hw, workloads, args.include_activations,
+                                      args.replicate_weights)
+    return reports.Report(
+        csv=lambda: reports.agent_profile_csv(rows),
+        text=lambda: reports.agent_profile_text(rows, model, hw),
+        svg=lambda: reports.agent_profile_svg(rows, hw),
+        exceeded=any(row["decode_class"] == BoundClass.CAPACITY_EXCEEDED.value for row in rows),
+    )
+
+
+# Each command-specific flag's argparse settings; a command's table entry
+# names the flags it takes and may override these settings.
+_FLAGS = {
+    "hardware": dict(required=True, help="bundled hardware preset name or path"),
+    "phase": dict(choices=list(_PHASES), default="both"),
+    "batch": dict(default="1", help="comma list of batch sizes"),
+    "context": dict(default="4096", help="comma list of context lengths"),
+    "grid": dict(help='e.g. "B=1..64,L=1k..1m:log"'),
+    "workload": dict(help="bundled workload preset name or path"),
+    "strict": dict(action="store_true", help="exit 3 if any analyzed point is capacity_exceeded"),
+    "include-activations": dict(action="store_true",
+                                help="add the documented per-token activation byte term"),
+    "replicate-weights": dict(action="store_true",
+                              help="count weights once per device in capacity planning"),
+}
+_POINT_FLAGS = {"strict": {}, "include-activations": {}, "replicate-weights": {}}
+
+# command -> (help, builder returning its Report, {flag: overrides of _FLAGS[flag]})
+COMMANDS = {
+    "analyze": ("classify one or a few operating points", _analyze,
+                {"hardware": {}, "phase": {}, "batch": {}, "context": {}, **_POINT_FLAGS}),
+    "sweep": ("grid or workload-driven sweep", _sweep,
+              {"hardware": {}, "phase": {}, "grid": {}, "workload": {}, **_POINT_FLAGS}),
+    "compare-attention": ("footprint vs context across attention variants", _compare_attention,
+                          {"batch": {"type": parse_scalar, "help": "one batch size"},
+                           "grid": {"default": "L=1k..1m:log",
+                                    "help": "context grid (L dimension only)"}}),
+    "compare-moe": ("dense vs MoE footprint bars and decode intensity", _compare_moe,
+                    {"batch": {"default": "1,16"},
+                     "context": {"type": parse_scalar, "help": "one context length"},
+                     "include-activations": {}}),
+    "agent-profile": ("per-agent token totals, footprint, and intensity", _agent_profile,
+                      {"hardware": {},
+                       "workload": {"action": "append",
+                                    "help": "repeatable; defaults to every bundled workload preset"},
+                       **_POINT_FLAGS}),
+    "roofline-plot": ("roofline with classified workload points", _roofline_plot,
+                      {"hardware": {}, "phase": {},
+                       "workload": {"help": "derive points from a workload trace"},
+                       "batch": {}, "context": {}, **_POINT_FLAGS}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,71 +251,37 @@ def build_parser() -> argparse.ArgumentParser:
         "LLM agent inference on a capacity-extended roofline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="classify one or a few operating points")
-    _add_common(p)
-    p.add_argument("--hardware", required=True)
-    p.add_argument("--phase", choices=["prefill", "decode", "both"], default="both")
-    p.add_argument("--batch", default="1", help="comma list of batch sizes")
-    p.add_argument("--context", default="4096", help="comma list of context lengths")
-
-    p = sub.add_parser("sweep", help="grid or workload-driven sweep")
-    _add_common(p)
-    p.add_argument("--hardware", required=True)
-    p.add_argument("--phase", choices=["prefill", "decode", "both"], default="both")
-    p.add_argument("--grid", help='e.g. "B=1..64,L=1k..1m:log"')
-    p.add_argument("--workload", help="bundled workload preset name or path")
-
-    p = sub.add_parser("compare-attention", help="footprint vs context across attention variants")
-    _add_common(p)
-    p.add_argument("--batch", default="1")
-    p.add_argument("--grid", default="L=1k..1m:log", help="context grid (L dimension only)")
-
-    p = sub.add_parser("compare-moe", help="dense vs MoE footprint bars and decode intensity")
-    _add_common(p)
-    p.add_argument("--batch", default="1,16")
-    p.add_argument("--context", default="4096")
-
-    p = sub.add_parser("agent-profile", help="per-agent token totals, footprint, and intensity")
-    _add_common(p)
-    p.add_argument("--hardware", required=True)
-    p.add_argument("--workload", action="append", default=None,
-                   help="repeatable; defaults to every bundled workload preset")
-
-    p = sub.add_parser("roofline-plot", help="roofline with classified workload points")
-    _add_common(p)
-    p.add_argument("--hardware", required=True)
-    p.add_argument("--phase", choices=["prefill", "decode", "both"], default="both")
-    p.add_argument("--workload", help="derive points from a workload trace")
-    p.add_argument("--batch", default="1")
-    p.add_argument("--context", default="4096")
-
+    for command, (help_text, _, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--model", action="append", required=True,
+                       help="bundled model preset name or path to a model config")
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--format", default="csv,svg,text", help="comma subset of csv,svg,text")
+        p.add_argument("--allow-unknown-keys", action="store_true",
+                       help="accept unknown config keys instead of rejecting them")
+        for name, overrides in flags.items():
+            p.add_argument(f"--{name}", **{**_FLAGS[name], **overrides})
     return parser
 
 
 def _write_artifacts(out_dir: str, command: str, formats: Sequence[str],
-                     text: str, csv_text: str, svg_text: str) -> List[Path]:
+                     report: reports.Report) -> List[Path]:
+    """Render and write each selected format in turn, so at most one rendered
+    artifact is held in memory."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    if "csv" in formats and csv_text is not None:
-        path = directory / f"{command}.csv"
-        path.write_text(csv_text, encoding="utf-8")
-        written.append(path)
-    if "svg" in formats and svg_text is not None:
-        path = directory / f"{command}.svg"
-        path.write_text(svg_text, encoding="utf-8")
-        written.append(path)
-    if "text" in formats and text is not None:
-        path = directory / f"{command}.txt"
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
+    for fmt, extension in _EXTENSIONS.items():
+        if fmt in formats:
+            path = directory / f"{command}.{extension}"
+            path.write_text(getattr(report, fmt)(), encoding="utf-8")
+            written.append(path)
     return written
 
 
 def _formats(args) -> List[str]:
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    bad = [f for f in formats if f not in ("csv", "svg", "text")]
+    bad = [f for f in formats if f not in _EXTENSIONS]
     if bad:
         raise ConfigError(f"unknown output format '{bad[0]}' (use csv, svg, text)")
     if not formats:
@@ -217,117 +289,13 @@ def _formats(args) -> List[str]:
     return formats
 
 
-def _single_model(args):
-    if len(args.model) != 1:
-        raise ConfigError("this command takes exactly one --model")
-    return resolve_config(args.model[0], "model", args.allow_unknown_keys)
-
-
 def run(argv: Sequence[str]) -> int:
     args = build_parser().parse_args(argv)
     formats = _formats(args)
-    exceeded = False
-
-    if args.command in ("analyze", "roofline-plot"):
-        model = _single_model(args)
-        hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
-        if args.command == "roofline-plot" and args.workload:
-            workload = resolve_config(args.workload, "workload", args.allow_unknown_keys)
-            result = sweep_workload(model, hw, workload,
-                                    args.include_activations, args.replicate_weights)
-        else:
-            result = sweep_grid(
-                model, hw, parse_int_list(args.batch), parse_int_list(args.context),
-                _phases(args.phase), args.include_activations, args.replicate_weights,
-            )
-        exceeded = reports.has_capacity_exceeded(result)
-        title = f"{model.name} on {hw.name}"
-        _write_artifacts(args.out, args.command, formats,
-                         reports.sweep_text(result), reports.sweep_csv(result),
-                         reports.roofline_svg(model, hw, result, title))
-
-    elif args.command == "sweep":
-        model = _single_model(args)
-        hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
-        if (args.grid is None) == (args.workload is None):
-            raise ConfigError("sweep needs exactly one of --grid or --workload")
-        if args.workload:
-            workload = resolve_config(args.workload, "workload", args.allow_unknown_keys)
-            result = sweep_workload(model, hw, workload,
-                                    args.include_activations, args.replicate_weights)
-        else:
-            grid = parse_grid(args.grid)
-            result = sweep_grid(
-                model, hw, grid.get("B", [1]), grid.get("L", [4096]),
-                _phases(args.phase), args.include_activations, args.replicate_weights,
-            )
-        exceeded = reports.has_capacity_exceeded(result)
-        title = f"{model.name} on {hw.name}"
-        _write_artifacts(args.out, "sweep", formats,
-                         reports.sweep_text(result), reports.sweep_csv(result),
-                         reports.roofline_svg(model, hw, result, title))
-
-    elif args.command == "compare-attention":
-        models = [resolve_config(ref, "model", args.allow_unknown_keys) for ref in args.model]
-        if len(models) < 2:
-            raise ConfigError("compare-attention needs at least two --model entries")
-        batch = parse_int_list(args.batch)[0]
-        grid = parse_grid(args.grid)
-        lengths = grid.get("L")
-        if not lengths:
-            raise ConfigError("compare-attention grid must define the L dimension")
-        rows = reports.compare_attention_rows(models, lengths, batch)
-        text_lines = [f"capacity footprint per request, batch={batch}"]
-        for row in rows:
-            cells = [f"L={row['context_len']}"]
-            cells += [f"{m.name}: {row[f'{m.name}_cf_bytes']:.6g} B" for m in models]
-            text_lines.append("  ".join(cells))
-        _write_artifacts(args.out, "compare-attention", formats,
-                         "\n".join(text_lines) + "\n",
-                         reports.compare_attention_csv(models, rows),
-                         reports.compare_attention_svg(models, rows, batch))
-
-    elif args.command == "compare-moe":
-        models = [resolve_config(ref, "model", args.allow_unknown_keys) for ref in args.model]
-        if len(models) < 2:
-            raise ConfigError("compare-moe needs at least two --model entries")
-        batches = parse_int_list(args.batch)
-        context = parse_int_list(args.context)[0]
-        rows = reports.compare_moe_rows(models, batches, context)
-        text_lines = [f"decode footprint and intensity at context {context}"]
-        for row in rows:
-            text_lines.append(
-                f"{row['model']} B={row['batch_size']}: weights {row['weight_floor_bytes']:.6g} B"
-                f" + kv {row['kv_bytes']:.6g} B = {row['cf_bytes']:.6g} B,"
-                f" decode OI {row['decode_oi']:.6g}"
-            )
-        _write_artifacts(args.out, "compare-moe", formats,
-                         "\n".join(text_lines) + "\n",
-                         reports.compare_moe_csv(rows),
-                         reports.compare_moe_svg(rows, context))
-
-    elif args.command == "agent-profile":
-        model = _single_model(args)
-        hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
-        refs = args.workload or list_catalog("workload")
-        workloads = [resolve_config(ref, "workload", args.allow_unknown_keys) for ref in refs]
-        rows = reports.agent_profile_rows(model, hw, workloads)
-        exceeded = any(row["decode_class"] == "capacity_exceeded" for row in rows)
-        text_lines = [f"agent profiles for {model.name} on {hw.name}"]
-        for row in rows:
-            text_lines.append(
-                f"{row['workload']}: {row['turns']} turns,"
-                f" prefill {row['prefill_total_tokens']} decode {row['decode_total_tokens']},"
-                f" final context {row['final_context']},"
-                f" cf {row['cf_bytes']:.6g} B ({row['decode_class']}),"
-                f" OI prefill {row['prefill_oi']:.6g} / decode {row['decode_oi']:.6g}"
-            )
-        _write_artifacts(args.out, "agent-profile", formats,
-                         "\n".join(text_lines) + "\n",
-                         reports.agent_profile_csv(rows),
-                         reports.agent_profile_svg(rows, hw))
-
-    if exceeded and args.strict:
+    report = COMMANDS[args.command][1](args)
+    _write_artifacts(args.out, args.command, formats, report)
+    # Only commands that offer --strict build a report that can be exceeded.
+    if report.exceeded and args.strict:
         print("capacity_exceeded point encountered (--strict)", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK

@@ -9,6 +9,7 @@ their constants come from. See docs/schemas.md for the full schemas.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Any, Dict, List, Union
@@ -53,9 +54,14 @@ def _get(
     if kind is int and isinstance(value, bool):
         _fail(source, f"key '{key}' must be an integer, got a boolean")
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond float range
+            value = math.inf
     if not isinstance(value, kind):
         _fail(source, f"key '{key}' must be {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
+        _fail(source, f"key '{key}' must be a finite number, got {value}")
     return value
 
 
@@ -151,14 +157,12 @@ def parse_hardware(data: Dict[str, Any], source: str, allow_unknown: bool = Fals
     _check_keys(data, _HARDWARE_KEYS, source, allow_unknown)
     raw_peaks = _get(data, "peak_flops", dict, source)
     peaks: Dict[int, float] = {}
-    for key, value in raw_peaks.items():
+    for key in raw_peaks:
         try:
             bits = int(key)
         except (TypeError, ValueError):
             _fail(source, f"peak_flops key '{key}' is not an integer bit width")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            _fail(source, f"peak_flops[{key}] must be a number, got {type(value).__name__}")
-        peaks[bits] = float(value)
+        peaks[bits] = _get(raw_peaks, key, float, source + ".peak_flops")
     try:
         return HardwareSpec(
             name=_get(data, "name", str, source),

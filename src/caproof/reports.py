@@ -9,11 +9,11 @@ token/footprint/intensity profile. Text and SVG render numbers with
 
 from __future__ import annotations
 
-import csv
 import io
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence
 
-from .analysis import BoundClass, SweepResult, classify
+from .analysis import BoundClass, SweepResult, classify, write_csv
 from .hardware import HardwareSpec, attainable_flops, ridge_point
 from .metrics import OperatingPoint, decode_metrics
 from .model import ModelSpec, Phase, kv_bytes_per_token, weight_bytes
@@ -27,6 +27,18 @@ CLASS_COLORS = {
     BoundClass.CAPACITY_EXCEEDED: "#e53e3e",
 }
 SERIES_COLORS = ["#3182ce", "#d69e2e", "#38a169", "#805ad5", "#dd6b20", "#319795"]
+
+
+@dataclass(frozen=True)
+class Report:
+    """One command's artifacts as zero-argument renderers, so only the
+    formats asked for are rendered. `exceeded` is set when an analyzed point
+    is capacity_exceeded (the --strict exit)."""
+
+    csv: Callable[[], str]
+    text: Callable[[], str]
+    svg: Callable[[], str]
+    exceeded: bool = False
 
 
 def sweep_csv(result: SweepResult) -> str:
@@ -53,10 +65,6 @@ def sweep_text(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def has_capacity_exceeded(result: SweepResult) -> bool:
-    return any(r.analysis.bound_class is BoundClass.CAPACITY_EXCEEDED for r in result.rows)
-
-
 def roofline_svg(
     model: ModelSpec, hw: HardwareSpec, result: SweepResult, title: str
 ) -> str:
@@ -72,17 +80,10 @@ def roofline_svg(
     width, height = 640, 420
     x0, y0, x1, y1 = 70, 40, width - 170, height - 60
     canvas = Canvas(width, height)
-    draw_frame(canvas, x0, y0, x1, y1, title=title, x_label="operational intensity (FLOPs/byte)", y_label="attainable FLOP/s per device")
     xs = LogScale(lo, hi, x0, x1)
-    y_lo = min(lo * hw.mem_bandwidth, peak) / 4
-    ys = LogScale(y_lo, peak * 4, y1, y0)
-
-    for tick in xs.ticks():
-        canvas.line(xs(tick), y1, xs(tick), y1 + 4)
-        canvas.text(xs(tick), y1 + 16, si(tick), size=9, anchor="middle")
-    for tick in ys.ticks():
-        canvas.line(x0 - 4, ys(tick), x0, ys(tick))
-        canvas.text(x0 - 6, ys(tick) + 3, si(tick), size=9, anchor="end")
+    ys = LogScale(min(lo * hw.mem_bandwidth, peak) / 4, peak * 4, y1, y0)
+    draw_frame(canvas, x0, y0, x1, y1, title=title, x_label="operational intensity (FLOPs/byte)",
+               y_label="attainable FLOP/s per device", xs=xs, ys=ys)
 
     # Bandwidth arm up to the ridge, then the flat compute roof.
     canvas.polyline(
@@ -113,22 +114,15 @@ def compare_attention_rows(
     for length in context_lens:
         row: Dict[str, float] = {"context_len": length}
         for spec in models:
-            row[f"{spec.name}_kv_bytes"] = kv_bytes_per_token(spec) * length
-            row[f"{spec.name}_cf_bytes"] = (
-                kv_bytes_per_token(spec) * length + weight_bytes(spec) / batch_size
-            )
+            kv = row[f"{spec.name}_kv_bytes"] = kv_bytes_per_token(spec) * length
+            row[f"{spec.name}_cf_bytes"] = kv + weight_bytes(spec) / batch_size
         rows.append(row)
     return rows
 
 
 def _csv_table(columns: Sequence[str], rows: List[Dict[str, object]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(
-            [repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns]
-        )
+    write_csv(buf, columns, (tuple(row[c] for c in columns) for row in rows))
     return buf.getvalue()
 
 
@@ -139,27 +133,32 @@ def compare_attention_csv(models: Sequence[ModelSpec], rows: List[Dict[str, floa
     return _csv_table(columns, rows)
 
 
+def compare_attention_text(
+    models: Sequence[ModelSpec], rows: List[Dict[str, float]], batch_size: int
+) -> str:
+    lines = [f"capacity footprint per request, batch={batch_size}"]
+    for row in rows:
+        cells = [f"L={row['context_len']}"]
+        cells += [f"{m.name}: {row[f'{m.name}_cf_bytes']:.6g} B" for m in models]
+        lines.append("  ".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def compare_attention_svg(
     models: Sequence[ModelSpec], rows: List[Dict[str, float]], batch_size: int
 ) -> str:
     width, height = 620, 420
     x0, y0, x1, y1 = 80, 40, width - 150, height - 60
     canvas = Canvas(width, height)
-    draw_frame(
-        canvas, x0, y0, x1, y1,
-        title=f"capacity footprint vs context length (batch={batch_size})",
-        x_label="context length (tokens)", y_label="bytes per request",
-    )
     lengths = [row["context_len"] for row in rows]
     values = [row[f"{m.name}_cf_bytes"] for m in models for row in rows]
     xs = LogScale(min(lengths), max(lengths), x0, x1)
     ys = LogScale(min(values) / 2, max(values) * 2, y1, y0)
-    for tick in xs.ticks():
-        canvas.line(xs(tick), y1, xs(tick), y1 + 4)
-        canvas.text(xs(tick), y1 + 16, si(tick), size=9, anchor="middle")
-    for tick in ys.ticks():
-        canvas.line(x0 - 4, ys(tick), x0, ys(tick))
-        canvas.text(x0 - 6, ys(tick) + 3, si(tick), size=9, anchor="end")
+    draw_frame(
+        canvas, x0, y0, x1, y1,
+        title=f"capacity footprint vs context length (batch={batch_size})",
+        x_label="context length (tokens)", y_label="bytes per request", xs=xs, ys=ys,
+    )
     for i, spec in enumerate(models):
         color = SERIES_COLORS[i % len(SERIES_COLORS)]
         points = [(xs(row["context_len"]), ys(row[f"{spec.name}_cf_bytes"])) for row in rows]
@@ -170,13 +169,16 @@ def compare_attention_svg(
 
 
 def compare_moe_rows(
-    models: Sequence[ModelSpec], batch_sizes: Sequence[int], context_len: int
+    models: Sequence[ModelSpec],
+    batch_sizes: Sequence[int],
+    context_len: int,
+    include_activations: bool = False,
 ) -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
     for spec in models:
         for batch in batch_sizes:
             point = OperatingPoint(context_len, batch, Phase.DECODE)
-            metrics = decode_metrics(spec, point)
+            metrics = decode_metrics(spec, point, include_activations)
             rows.append(
                 {
                     "model": spec.name,
@@ -199,6 +201,17 @@ def compare_moe_csv(rows: List[Dict[str, object]]) -> str:
     )
 
 
+def compare_moe_text(rows: List[Dict[str, object]], context_len: int) -> str:
+    lines = [f"decode footprint and intensity at context {context_len}"]
+    for row in rows:
+        lines.append(
+            f"{row['model']} B={row['batch_size']}: weights {row['weight_floor_bytes']:.6g} B"
+            f" + kv {row['kv_bytes']:.6g} B = {row['cf_bytes']:.6g} B,"
+            f" decode OI {row['decode_oi']:.6g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
     """Footprint bars with the amortized-weight floor shaded, plus decode-OI
     bars. Both panels use log axes; footprints span orders of magnitude."""
@@ -209,10 +222,8 @@ def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
     cf_values = [row["weight_floor_bytes"] + row["kv_bytes"] for row in rows]
     floor_values = [row["weight_floor_bytes"] for row in rows]
     ys = LogScale(min(floor_values) / 2, max(cf_values) * 2, y1, y0)
-    draw_frame(canvas, x0, y0, x1, y1, title=f"footprint per request at context {si(context_len)}", y_label="bytes per request")
-    for tick in ys.ticks():
-        canvas.line(x0 - 4, ys(tick), x0, ys(tick))
-        canvas.text(x0 - 6, ys(tick) + 3, si(tick), size=9, anchor="end")
+    draw_frame(canvas, x0, y0, x1, y1, title=f"footprint per request at context {si(context_len)}",
+               y_label="bytes per request", ys=ys)
     slot = (x1 - x0) / len(rows)
     for i, row in enumerate(rows):
         bar_x = x0 + slot * i + slot * 0.2
@@ -232,10 +243,8 @@ def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
     x0b, x1b = mid + 50, width - 40
     oi_values = [row["decode_oi"] for row in rows]
     ysb = LogScale(min(oi_values) / 2, max(oi_values) * 2, y1, y0)
-    draw_frame(canvas, x0b, y0, x1b, y1, title="decode operational intensity", y_label="FLOPs/byte")
-    for tick in ysb.ticks():
-        canvas.line(x0b - 4, ysb(tick), x0b, ysb(tick))
-        canvas.text(x0b - 6, ysb(tick) + 3, si(tick), size=9, anchor="end")
+    draw_frame(canvas, x0b, y0, x1b, y1, title="decode operational intensity", y_label="FLOPs/byte",
+               ys=ysb)
     slot_b = (x1b - x0b) / len(rows)
     for i, row in enumerate(rows):
         bar_x = x0b + slot_b * i + slot_b * 0.2
@@ -247,8 +256,13 @@ def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
 
 
 def agent_profile_rows(
-    model: ModelSpec, hw: HardwareSpec, workloads: Sequence[WorkloadSpec]
+    model: ModelSpec,
+    hw: HardwareSpec,
+    workloads: Sequence[WorkloadSpec],
+    include_activations: bool = False,
+    replicate_weights: bool = False,
 ) -> List[Dict[str, object]]:
+    flags = (include_activations, replicate_weights)
     rows: List[Dict[str, object]] = []
     for workload in workloads:
         trace = expand(workload)
@@ -257,8 +271,8 @@ def agent_profile_rows(
         prefill_total, decode_total = total_tokens(trace)
         final = trace.final_context
         batch = workload.batch_size
-        prefill = classify(model, hw, OperatingPoint(final, batch, Phase.PREFILL))
-        decode = classify(model, hw, OperatingPoint(final, batch, Phase.DECODE))
+        prefill = classify(model, hw, OperatingPoint(final, batch, Phase.PREFILL), *flags)
+        decode = classify(model, hw, OperatingPoint(final, batch, Phase.DECODE), *flags)
         rows.append(
             {
                 "workload": workload.name,
@@ -287,14 +301,24 @@ def agent_profile_csv(rows: List[Dict[str, object]]) -> str:
     )
 
 
+def agent_profile_text(rows: List[Dict[str, object]], model: ModelSpec, hw: HardwareSpec) -> str:
+    lines = [f"agent profiles for {model.name} on {hw.name}"]
+    for row in rows:
+        lines.append(
+            f"{row['workload']}: {row['turns']} turns,"
+            f" prefill {row['prefill_total_tokens']} decode {row['decode_total_tokens']},"
+            f" final context {row['final_context']},"
+            f" cf {row['cf_bytes']:.6g} B ({row['decode_class']}),"
+            f" OI prefill {row['prefill_oi']:.6g} / decode {row['decode_oi']:.6g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def _bar_panel_log(canvas, x0, y0, x1, y1, labels, series, colors, title, y_label):
     """Grouped bars on a log y-axis. series: list of (name, values)."""
     all_values = [v for _, values in series for v in values if v > 0]
     ys = LogScale(min(all_values) / 2, max(all_values) * 2, y1, y0)
-    draw_frame(canvas, x0, y0, x1, y1, title=title, y_label=y_label)
-    for tick in ys.ticks():
-        canvas.line(x0 - 4, ys(tick), x0, ys(tick))
-        canvas.text(x0 - 6, ys(tick) + 3, si(tick), size=9, anchor="end")
+    draw_frame(canvas, x0, y0, x1, y1, title=title, y_label=y_label, ys=ys)
     slot = (x1 - x0) / len(labels)
     group_w = slot * 0.7
     bar_w = group_w / len(series)

@@ -101,35 +101,6 @@ class LogScale:
         return [10.0**e for e in range(first, last + 1) if self.lo <= 10.0**e <= self.hi]
 
 
-class LinearScale:
-    def __init__(self, lo: float, hi: float, out_lo: float, out_hi: float):
-        if hi <= lo:
-            raise ValueError(f"linear scale needs lo < hi, got [{lo}, {hi}]")
-        self.lo, self.hi = lo, hi
-        self.out_lo, self.out_hi = out_lo, out_hi
-
-    def __call__(self, value: float) -> float:
-        frac = (value - self.lo) / (self.hi - self.lo)
-        return self.out_lo + frac * (self.out_hi - self.out_lo)
-
-    def ticks(self, count: int = 5) -> List[float]:
-        if self.hi <= self.lo:
-            return [self.lo]
-        raw_step = (self.hi - self.lo) / count
-        magnitude = 10 ** math.floor(math.log10(raw_step))
-        for mult in (1, 2, 5, 10):
-            step = mult * magnitude
-            if raw_step <= step:
-                break
-        first = math.ceil(self.lo / step) * step
-        ticks = []
-        value = first
-        while value <= self.hi + step * 1e-9:
-            ticks.append(value)
-            value += step
-        return ticks
-
-
 def draw_frame(
     canvas: Canvas,
     x0: float,
@@ -139,9 +110,12 @@ def draw_frame(
     title: Optional[str] = None,
     x_label: Optional[str] = None,
     y_label: Optional[str] = None,
+    xs: Optional[LogScale] = None,
+    ys: Optional[LogScale] = None,
 ):
-    """Plot frame: border plus optional title and axis labels. The plotting
-    area is (x0, y0) top-left to (x1, y1) bottom-right."""
+    """Plot frame: border plus optional title, axis labels and, for each
+    scale given, its decade ticks. The plotting area is (x0, y0) top-left to
+    (x1, y1) bottom-right."""
     canvas.rect(x0, y0, x1 - x0, y1 - y0, fill="none", stroke="#999")
     if title:
         canvas.text((x0 + x1) / 2, y0 - 8, title, size=12, anchor="middle")
@@ -149,3 +123,9 @@ def draw_frame(
         canvas.text((x0 + x1) / 2, y1 + 32, x_label, anchor="middle")
     if y_label:
         canvas.text(x0 - 46, (y0 + y1) / 2, y_label, anchor="middle", rotate=-90)
+    for tick in xs.ticks() if xs else ():
+        canvas.line(xs(tick), y1, xs(tick), y1 + 4)
+        canvas.text(xs(tick), y1 + 16, si(tick), size=9, anchor="middle")
+    for tick in ys.ticks() if ys else ():
+        canvas.line(x0 - 4, ys(tick), x0, ys(tick))
+        canvas.text(x0 - 6, ys(tick) + 3, si(tick), size=9, anchor="end")

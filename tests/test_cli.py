@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from caproof import reports
 from caproof.analysis import classify
 from caproof.cli import parse_grid, parse_int_list, parse_scalar, run
 from caproof.config import ConfigError, resolve_config
@@ -47,6 +48,11 @@ class TestGridParsing:
             parse_scalar("abc")
         with pytest.raises(ConfigError):
             parse_grid("L=1..1m")  # too many points without :log
+
+    @pytest.mark.parametrize("mode", ["100001", "log100001"])
+    def test_counted_range_point_cap(self, mode):
+        with pytest.raises(ConfigError, match="point count must be <= 100000"):
+            parse_grid(f"L=1..1m:{mode}")
 
 
 class TestCommands:
@@ -146,6 +152,64 @@ class TestCommands:
         assert run(args) == 0
         assert run(args + ["--strict"]) == 3
 
+    def test_format_csv_renders_no_text_or_svg(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rendered a format that was not asked for")
+
+        monkeypatch.setattr(reports, "sweep_text", refuse)
+        monkeypatch.setattr(reports, "roofline_svg", refuse)
+        assert run(["sweep", "--model", "dense-70b", "--hardware", "b200-sxm",
+                    "--grid", "B=1,L=4k", "--format", "csv", "--out", str(tmp_path)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+class TestFlags:
+    """Every flag a command accepts takes effect; the others exit 2."""
+
+    def csv_rows(self, tmp_path, argv, name):
+        out = tmp_path / name
+        assert run(argv + ["--format", "csv", "--out", str(out)]) == 0
+        with open(out / f"{argv[0]}.csv") as handle:
+            return list(csv.DictReader(handle))
+
+    def test_agent_profile_passes_accounting_flags(self, tmp_path):
+        argv = ["agent-profile", "--model", "dense-70b", "--hardware", "b200-node8",
+                "--workload", "coding-agent"]
+        plain = self.csv_rows(tmp_path, argv, "plain")[0]
+        activations = self.csv_rows(tmp_path, argv + ["--include-activations"], "act")[0]
+        replicated = self.csv_rows(tmp_path, argv + ["--replicate-weights"], "rep")[0]
+        assert float(activations["prefill_oi"]) < float(plain["prefill_oi"])
+        assert float(activations["decode_oi"]) < float(plain["decode_oi"])
+        assert plain["min_devices_decode"] == "2"
+        assert replicated["min_devices_decode"] == "0"  # weights + KV exceed one device
+        assert run(argv + ["--strict", "--out", str(tmp_path / "strict")]) == 3
+
+    def test_compare_moe_passes_include_activations(self, tmp_path):
+        argv = ["compare-moe", "--model", "dense-70b", "--model", "moe-256e"]
+        plain = self.csv_rows(tmp_path, argv, "plain")
+        activations = self.csv_rows(tmp_path, argv + ["--include-activations"], "act")
+        assert len(plain) == len(activations) == 4
+        for before, after in zip(plain, activations):
+            assert float(after["decode_oi"]) < float(before["decode_oi"])
+            assert after["cf_bytes"] == before["cf_bytes"]
+
+    @pytest.mark.parametrize("extra", [
+        ["compare-attention", "--strict"],
+        ["compare-attention", "--include-activations"],
+        ["compare-attention", "--replicate-weights"],
+        ["compare-attention", "--batch", "1,64"],
+        ["compare-moe", "--strict"],
+        ["compare-moe", "--replicate-weights"],
+        ["compare-moe", "--context", "4k,32k"],
+    ])
+    def test_unused_or_multi_value_flags_exit_2(self, extra, tmp_path):
+        argv = [extra[0], "--model", "mha-48x2048", "--model", "gqa8-48x2048",
+                *extra[1:], "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
 
 class TestProcessLevel:
     def run_cli(self, *args):
@@ -188,3 +252,22 @@ class TestProcessLevel:
                               str(hw), "--out", str(tmp_path))
         assert result.returncode == 2
         assert "available precisions: 8" in result.stderr
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("mem_bandwidth", float("nan"), "'mem_bandwidth'"),
+        ("mem_capacity", float("inf"), "'mem_capacity'"),
+        ("mem_capacity", 10**400, "'mem_capacity'"),
+        ("peak_flops", {"16": float("nan")}, "peak_flops: key '16'"),
+    ])
+    def test_non_finite_hardware_number_exits_2_and_names_key(self, tmp_path, key, value,
+                                                              named):
+        data = {"type": "hardware", "name": "odd", "peak_flops": {"16": 1e15},
+                "mem_bandwidth": 1e12, "mem_capacity": 1e11, key: value}
+        hw = tmp_path / "hw.json"
+        hw.write_text(json.dumps(data))  # json writes NaN and Infinity literally
+        result = self.run_cli("analyze", "--model", "mha-48x2048", "--hardware",
+                              str(hw), "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert "hw.json" in result.stderr and named in result.stderr
+        assert "must be a finite number" in result.stderr
+        assert "Traceback" not in result.stderr

@@ -1,6 +1,6 @@
 import pytest
 
-from caproof.svg import Canvas, LinearScale, LogScale, escape, fmt, si
+from caproof.svg import Canvas, LogScale, escape, fmt, si
 
 
 def test_fmt_six_significant_digits():
@@ -31,14 +31,6 @@ def test_log_scale_rejects_bad_domain():
         LogScale(0, 10, 0, 1)
     with pytest.raises(ValueError):
         LogScale(10, 10, 0, 1)
-
-
-def test_linear_scale_and_ticks():
-    scale = LinearScale(0, 10, 100, 0)  # inverted output for screen y
-    assert scale(0) == 100
-    assert scale(10) == 0
-    assert scale(5) == 50
-    assert scale.ticks() == [0, 2, 4, 6, 8, 10]
 
 
 def test_escape():

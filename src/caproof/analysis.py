@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, PhaseMetrics, phase_metrics
-from .model import ModelSpec, Phase, kv_bits_per_token, weight_bits_total
+from .model import ModelSpec, Phase
 from .workload import WorkloadSpec, expand, total_tokens
 
 
@@ -49,8 +49,26 @@ def _device_capacity_bits(hw: HardwareSpec) -> int:
     return int(hw.mem_capacity) * 8
 
 
-def _request_bits(spec: ModelSpec, batch_size: int, context_len: int) -> int:
-    return weight_bits_total(spec) + batch_size * kv_bits_per_token(spec) * context_len
+def _feasible_batch(weights: int, kv_bits: int, cap: int, num_devices: int,
+                    replicate_weights: bool) -> int:
+    """max_feasible_batch from weight bits and one request's KV bits."""
+    if replicate_weights:
+        return num_devices * max(0, (cap - weights) // kv_bits)
+    total_cap = num_devices * cap
+    if weights > total_cap:
+        return 0
+    return (total_cap - weights) // kv_bits
+
+
+def _device_count(weights: int, kv_bits: int, cap: int, batch_size: int,
+                  replicate_weights: bool) -> int:
+    """min_devices from weight bits and one request's KV bits."""
+    if replicate_weights:
+        per_device = (cap - weights) // kv_bits
+        if per_device < 1:
+            return 0
+        return -(-batch_size // per_device)
+    return -(-(weights + batch_size * kv_bits) // cap)
 
 
 def max_feasible_batch(
@@ -63,16 +81,9 @@ def max_feasible_batch(
     weights do not fit."""
     if context_len < 1:
         raise ValueError(f"context_len must be >= 1, got {context_len}")
-    cap = _device_capacity_bits(hw)
-    weights = weight_bits_total(spec)
-    kv_bits = kv_bits_per_token(spec) * context_len
-    if replicate_weights:
-        per_device = max(0, (cap - weights) // kv_bits)
-        return hw.num_devices * per_device
-    total_cap = hw.num_devices * cap
-    if weights > total_cap:
-        return 0
-    return (total_cap - weights) // kv_bits
+    costs = spec.costs
+    return _feasible_batch(costs.weight_bits, costs.kv_bits * context_len,
+                           _device_capacity_bits(hw), hw.num_devices, replicate_weights)
 
 
 def min_devices(
@@ -83,16 +94,9 @@ def min_devices(
 ) -> int:
     """Smallest device count that fits the point's batch; 0 flags a point no
     aggregation can fit (only possible with replicated weights)."""
-    cap = _device_capacity_bits(hw)
-    if replicate_weights:
-        per_device = (cap - weight_bits_total(spec)) // (
-            kv_bits_per_token(spec) * point.context_len
-        )
-        if per_device < 1:
-            return 0
-        return -(-point.batch_size // per_device)
-    need = _request_bits(spec, point.batch_size, point.context_len)
-    return -(-need // cap)
+    costs = spec.costs
+    return _device_count(costs.weight_bits, costs.kv_bits * point.context_len,
+                         _device_capacity_bits(hw), point.batch_size, replicate_weights)
 
 
 def classify(
@@ -118,11 +122,14 @@ def classify(
     bits = spec.weight_bits
     ridge = ridge_point(hw, bits)
     metrics = phase_metrics(spec, point, include_activations)
-    feasible = max_feasible_batch(spec, hw, point.context_len, replicate_weights)
-    devices = min_devices(spec, hw, point, replicate_weights)
-
+    costs = spec.costs
+    weights = costs.weight_bits
+    kv_bits = costs.kv_bits * point.context_len
     cap_dev = _device_capacity_bits(hw)
-    if _request_bits(spec, 1, point.context_len) > cap_dev:
+    feasible = _feasible_batch(weights, kv_bits, cap_dev, hw.num_devices, replicate_weights)
+    devices = _device_count(weights, kv_bits, cap_dev, point.batch_size, replicate_weights)
+
+    if weights + kv_bits > cap_dev:
         return PhaseAnalysis(
             metrics=metrics,
             bound_class=BoundClass.CAPACITY_EXCEEDED,
@@ -139,9 +146,7 @@ def classify(
         mfu, mbu = 1.0, ridge / metrics.oi
         flops_rate = peak
     else:
-        per_device_batch = (cap_dev - weight_bits_total(spec)) // (
-            kv_bits_per_token(spec) * point.context_len
-        )
+        per_device_batch = (cap_dev - weights) // kv_bits
         best = phase_metrics(
             spec,
             OperatingPoint(point.context_len, per_device_batch, point.phase),

@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import reports
 from .analysis import BoundClass, sweep_grid, sweep_workload
@@ -127,17 +127,34 @@ def _compared_models(args):
     return models
 
 
-def _sweep_report(args, workload_ref, batches, contexts) -> reports.Report:
+def _int_list(text: Optional[str], flag: str, default: str) -> List[int]:
+    """The values of a comma-list flag, or its default when it was not given."""
+    values = parse_int_list(default if text is None else text)
+    if not values:
+        raise ConfigError(f"{flag} needs at least one value, got '{text}'")
+    return values
+
+
+def _reject_with_workload(args, *flags: str) -> None:
+    """Grid flags are errors next to --workload, even when set to their default."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag} cannot be combined with --workload: the trace "
+                              "fixes the points and yields both phases")
+
+
+def _sweep_report(args, workload_ref, batches=(), contexts=()) -> reports.Report:
     """One model on one hardware over a workload trace or a batch x context
     grid: the report of analyze, sweep and roofline-plot."""
     model = _single_model(args)
     hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
     flags = (args.include_activations, args.replicate_weights)
-    if workload_ref:
+    if workload_ref is not None:
         workload = resolve_config(workload_ref, "workload", args.allow_unknown_keys)
         result = sweep_workload(model, hw, workload, *flags)
     else:
-        result = sweep_grid(model, hw, batches, contexts, _PHASES[args.phase], *flags)
+        phases = _PHASES[args.phase or "both"]
+        result = sweep_grid(model, hw, batches, contexts, phases, *flags)
     return reports.Report(
         csv=lambda: reports.sweep_csv(result),
         text=lambda: reports.sweep_text(result),
@@ -147,26 +164,39 @@ def _sweep_report(args, workload_ref, batches, contexts) -> reports.Report:
 
 
 def _analyze(args) -> reports.Report:
-    return _sweep_report(args, None, parse_int_list(args.batch), parse_int_list(args.context))
+    return _sweep_report(args, None, _int_list(args.batch, "--batch", "1"),
+                         _int_list(args.context, "--context", "4096"))
 
 
 def _roofline_plot(args) -> reports.Report:
-    return _sweep_report(args, args.workload, parse_int_list(args.batch),
-                         parse_int_list(args.context))
+    if args.workload is None:
+        return _analyze(args)
+    _reject_with_workload(args, "phase", "batch", "context")
+    return _sweep_report(args, args.workload)
 
 
 def _sweep(args) -> reports.Report:
     if (args.grid is None) == (args.workload is None):
         raise ConfigError("sweep needs exactly one of --grid or --workload")
-    grid = parse_grid(args.grid) if args.grid else {}
-    return _sweep_report(args, args.workload, grid.get("B", [1]), grid.get("L", [4096]))
+    if args.workload is not None:
+        _reject_with_workload(args, "phase")
+        return _sweep_report(args, args.workload)
+    grid = parse_grid(args.grid)
+    return _sweep_report(args, None, grid.get("B", [1]), grid.get("L", [4096]))
 
 
 def _compare_attention(args) -> reports.Report:
     models = _compared_models(args)
-    lengths = parse_grid(args.grid).get("L")
+    grid = parse_grid(args.grid)
+    if "B" in grid:
+        raise ConfigError("compare-attention takes one batch size from --batch, "
+                          "not a B grid dimension")
+    lengths = grid.get("L")
     if not lengths:
         raise ConfigError("compare-attention grid must define the L dimension")
+    if min(lengths) == max(lengths):
+        raise ConfigError("compare-attention grid needs at least two distinct L values "
+                          "for its log axis")
     rows = reports.compare_attention_rows(models, lengths, args.batch)
     return reports.Report(
         csv=lambda: reports.compare_attention_csv(models, rows),
@@ -177,8 +207,8 @@ def _compare_attention(args) -> reports.Report:
 
 def _compare_moe(args) -> reports.Report:
     models = _compared_models(args)
-    rows = reports.compare_moe_rows(models, parse_int_list(args.batch), args.context,
-                                    args.include_activations)
+    rows = reports.compare_moe_rows(models, _int_list(args.batch, "--batch", "1,16"),
+                                    args.context, args.include_activations)
     return reports.Report(
         csv=lambda: reports.compare_moe_csv(rows),
         text=lambda: reports.compare_moe_text(rows, args.context),
@@ -205,9 +235,9 @@ def _agent_profile(args) -> reports.Report:
 # names the flags it takes and may override these settings.
 _FLAGS = {
     "hardware": dict(required=True, help="bundled hardware preset name or path"),
-    "phase": dict(choices=list(_PHASES), default="both"),
-    "batch": dict(default="1", help="comma list of batch sizes"),
-    "context": dict(default="4096", help="comma list of context lengths"),
+    "phase": dict(choices=list(_PHASES), help="grid phases (default both)"),
+    "batch": dict(help="comma list of batch sizes (default 1)"),
+    "context": dict(help="comma list of context lengths (default 4096)"),
     "grid": dict(help='e.g. "B=1..64,L=1k..1m:log"'),
     "workload": dict(help="bundled workload preset name or path"),
     "strict": dict(action="store_true", help="exit 3 if any analyzed point is capacity_exceeded"),
@@ -225,12 +255,14 @@ COMMANDS = {
     "sweep": ("grid or workload-driven sweep", _sweep,
               {"hardware": {}, "phase": {}, "grid": {}, "workload": {}, **_POINT_FLAGS}),
     "compare-attention": ("footprint vs context across attention variants", _compare_attention,
-                          {"batch": {"type": parse_scalar, "help": "one batch size"},
+                          {"batch": {"type": parse_scalar, "default": "1",
+                                     "help": "one batch size (default 1)"},
                            "grid": {"default": "L=1k..1m:log",
                                     "help": "context grid (L dimension only)"}}),
     "compare-moe": ("dense vs MoE footprint bars and decode intensity", _compare_moe,
-                    {"batch": {"default": "1,16"},
-                     "context": {"type": parse_scalar, "help": "one context length"},
+                    {"batch": {"help": "comma list of batch sizes (default 1,16)"},
+                     "context": {"type": parse_scalar, "default": "4096",
+                                 "help": "one context length (default 4096)"},
                      "include-activations": {}}),
     "agent-profile": ("per-agent token totals, footprint, and intensity", _agent_profile,
                       {"hardware": {},

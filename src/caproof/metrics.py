@@ -11,15 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (
-    ModelSpec,
-    Phase,
-    activated_params,
-    embedding_params,
-    flops_per_token,
-    kv_bytes_per_token,
-    weight_bytes,
-)
+from .model import ModelSpec, Phase, flops_per_token
 
 
 @dataclass(frozen=True)
@@ -64,14 +56,8 @@ def oi_matmul_bytes(m: int, d: int, length: int, element_bits: int) -> float:
 def cf_request(spec: ModelSpec, point: OperatingPoint) -> float:
     """Per-request DRAM bytes: KV cache for the full context plus the weight
     bytes amortized over the batch."""
-    return kv_bytes_per_token(spec) * point.context_len + weight_bytes(spec) / point.batch_size
-
-
-def _activation_bytes_per_token(spec: ModelSpec) -> float:
-    # Sensitivity knob only: one read + one write of the hidden-state vector
-    # per layer, at weight precision. Off by default (activations are assumed
-    # to stay in on-chip SRAM).
-    return 2 * spec.num_layers * spec.d_model * spec.weight_bits / 8
+    costs = spec.costs
+    return costs.kv_bits / 8 * point.context_len + costs.weight_bits / 8 / point.batch_size
 
 
 def decode_metrics(
@@ -81,17 +67,19 @@ def decode_metrics(
 
     Bytes move the whole weight set (amortized over the batch), read the
     request's cached KV, and write the new token's KV entry. The KV write is
-    negligible but included for exactness.
+    negligible but included for exactness. include_activations adds the
+    ModelCosts.act_bytes sensitivity term to either phase (by default
+    activations are assumed to stay in on-chip SRAM).
     """
     if point.phase is not Phase.DECODE:
         raise ValueError(f"decode_metrics requires a DECODE point, got {point.phase}")
-    kv = kv_bytes_per_token(spec)
-    bytes_per_tok = (
-        weight_bytes(spec) / point.batch_size + kv * point.context_len + kv
-    )
+    costs = spec.costs
+    length = point.context_len
+    kv = costs.kv_bits / 8
+    bytes_per_tok = costs.weight_bits / 8 / point.batch_size + kv * length + kv
     if include_activations:
-        bytes_per_tok += _activation_bytes_per_token(spec)
-    flops = flops_per_token(spec, Phase.DECODE, point.context_len)
+        bytes_per_tok += costs.act_bytes
+    flops = flops_per_token(spec, Phase.DECODE, length)
     return PhaseMetrics(
         oi=flops / bytes_per_tok,
         cf=cf_request(spec, point),
@@ -111,15 +99,13 @@ def prefill_metrics(
     """
     if point.phase is not Phase.PREFILL:
         raise ValueError(f"prefill_metrics requires a PREFILL point, got {point.phase}")
+    costs = spec.costs
     length = point.context_len
-    kv = kv_bytes_per_token(spec)
-    bytes_per_tok = weight_bytes(spec) / (point.batch_size * length) + kv
+    kv = costs.kv_bits / 8
+    bytes_per_tok = costs.weight_bits / 8 / (point.batch_size * length) + kv
     if include_activations:
-        bytes_per_tok += _activation_bytes_per_token(spec)
-    matmul_weights = activated_params(spec) - embedding_params(spec)
-    flops = 2 * matmul_weights + 2 * spec.num_layers * spec.num_heads * spec.head_dim * (
-        length + 1
-    )
+        bytes_per_tok += costs.act_bytes
+    flops = 2 * costs.matmul_weights + 2 * costs.attn * (length + 1)
     return PhaseMetrics(
         oi=flops / bytes_per_tok,
         cf=cf_request(spec, point),

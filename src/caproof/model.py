@@ -6,13 +6,20 @@ Conventions used throughout:
 - Embedding lookups count toward weight bytes but not FLOPs (not matmuls).
 - Parameter and FLOP counts are exact integers; byte values are produced by
   a single final division by 8.
+
+The per-spec constants that every operating point needs (weight bits,
+matmul weights, KV bits per token, the attention-score factor and the
+activation byte term) are derived once per ModelSpec, on first use of
+ModelSpec.costs, and cached on the instance; the public accessors below read
+them from there.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import NamedTuple, Optional, Union
 
 VALID_ELEMENT_BITS = (2, 4, 8, 16, 32)
 
@@ -144,6 +151,45 @@ class ModelSpec:
                     f"num_kv_heads ({self.attention.num_kv_heads})"
                 )
 
+    @cached_property
+    def costs(self) -> ModelCosts:
+        """The spec's derived constants, computed on first use. Not a field:
+        eq, hash and repr ignore it, and dataclasses.replace gives the new
+        spec its own."""
+        if isinstance(self.attention, MLA):
+            kv_width = self.attention.d_latent + self.attention.d_rope
+        else:
+            kv_heads = (self.attention.num_kv_heads if isinstance(self.attention, GQA)
+                        else self.num_heads)
+            kv_width = 2 * kv_heads * self.head_dim
+        return ModelCosts(
+            weight_bits=total_params(self) * self.weight_bits,
+            matmul_weights=activated_params(self) - embedding_params(self),
+            kv_bits=self.num_layers * kv_width * self.kv_bits,
+            attn=self.num_layers * self.num_heads * self.head_dim,
+            act_bytes=2 * self.num_layers * self.d_model * self.weight_bits / 8,
+        )
+
+
+class ModelCosts(NamedTuple):
+    """Per-spec constants of the closed-form accounting. A NamedTuple rather
+    than a frozen dataclass: both are immutable, and the tuple is several
+    times cheaper to define at import.
+
+    weight_bits: all weights at weight precision (total_params * weight_bits).
+    matmul_weights: weights multiplied per token (activated minus embedding).
+    kv_bits: cached bits per token across all layers.
+    attn: layers * heads * head_dim, the attention-score FLOP factor.
+    act_bytes: one read + one write of the hidden state per layer at weight
+        precision, the optional activation byte term.
+    """
+
+    weight_bits: int
+    matmul_weights: int
+    kv_bits: int
+    attn: int
+    act_bytes: float
+
 
 def _ffn_matrix_count(spec: ModelSpec) -> int:
     # Gated FFN uses gate/up/down; plain FFN only up/down.
@@ -193,11 +239,11 @@ def activated_params(spec: ModelSpec) -> int:
 
 
 def weight_bits_total(spec: ModelSpec) -> int:
-    return total_params(spec) * spec.weight_bits
+    return spec.costs.weight_bits
 
 
 def weight_bytes(spec: ModelSpec) -> float:
-    return weight_bits_total(spec) / 8
+    return spec.costs.weight_bits / 8
 
 
 def kv_bits_per_token(spec: ModelSpec) -> int:
@@ -206,18 +252,11 @@ def kv_bits_per_token(spec: ModelSpec) -> int:
     MHA stores K and V per head, GQA per KV head; MLA stores one latent
     (+rope) vector per token regardless of head count.
     """
-    if isinstance(spec.attention, MLA):
-        width = spec.attention.d_latent + spec.attention.d_rope
-        return spec.num_layers * width * spec.kv_bits
-    if isinstance(spec.attention, GQA):
-        kv_heads = spec.attention.num_kv_heads
-    else:
-        kv_heads = spec.num_heads
-    return 2 * spec.num_layers * kv_heads * spec.head_dim * spec.kv_bits
+    return spec.costs.kv_bits
 
 
 def kv_bytes_per_token(spec: ModelSpec) -> float:
-    return kv_bits_per_token(spec) / 8
+    return spec.costs.kv_bits / 8
 
 
 def flops_per_token(spec: ModelSpec, phase: Phase, context_len: int) -> int:
@@ -232,6 +271,5 @@ def flops_per_token(spec: ModelSpec, phase: Phase, context_len: int) -> int:
     """
     if context_len < 1:
         raise ValueError(f"context_len must be >= 1, got {context_len}")
-    matmul_weights = activated_params(spec) - embedding_params(spec)
-    attn_score = 4 * spec.num_layers * spec.num_heads * spec.head_dim * context_len
-    return 2 * matmul_weights + attn_score
+    costs = spec.costs
+    return 2 * costs.matmul_weights + 4 * costs.attn * context_len

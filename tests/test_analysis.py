@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from caproof import model
 from caproof.analysis import (
     BoundClass,
     classify,
@@ -12,6 +13,7 @@ from caproof.analysis import (
     sweep_grid,
     sweep_workload,
 )
+from caproof.config import resolve_config
 from caproof.hardware import HardwareSpec, ridge_point
 from caproof.metrics import OperatingPoint, decode_metrics, phase_metrics
 from caproof.model import (
@@ -320,3 +322,34 @@ class TestSweep:
                              decode_tokens_per_turn=0)
         with pytest.raises(ValueError, match="zero tokens"):
             sweep_workload(spec, hw, empty)
+
+
+class TestCostsDerivedOncePerSpec:
+    """Sweeps read a spec's model costs, so total_params runs per spec, not per point."""
+
+    @pytest.fixture
+    def total_params_calls(self, monkeypatch):
+        calls = []
+        original = model.total_params
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(model, "total_params", counting)
+        return calls
+
+    def test_grid_sweep(self, total_params_calls):
+        hw = make_hw(2.25e15, 8e12, 192e9)
+        lengths = [2**i for i in range(5, 21)]
+        result = sweep_grid(ref48_spec(), hw, range(1, 33), lengths)
+        assert len(result.rows) == 2 * 32 * 16
+        assert len({r.analysis.bound_class for r in result.rows}) == 4
+        assert len(total_params_calls) <= 2
+
+    def test_workload_sweep(self, total_params_calls):
+        hw = resolve_config("b200-node8", "hardware")
+        workload = resolve_config("coding-agent", "workload")
+        result = sweep_workload(ref48_spec(), hw, workload)
+        assert len(result.rows) > 2
+        assert len(total_params_calls) <= 2

@@ -210,6 +210,35 @@ class TestFlags:
         assert exc.value.code == 2
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, named", [
+        (["sweep", "--workload", "chatbot", "--phase", "decode"], "--phase"),
+        (["sweep", "--workload", "chatbot", "--phase", "both"], "--phase"),
+        (["roofline-plot", "--workload", "chatbot", "--phase", "prefill"], "--phase"),
+        (["roofline-plot", "--workload", "chatbot", "--batch", "4"], "--batch"),
+        (["roofline-plot", "--workload", "chatbot", "--context", "32k"], "--context"),
+        (["analyze", "--batch", ","], "--batch"),
+        (["analyze", "--context", ","], "--context"),
+        (["roofline-plot", "--batch", ","], "--batch"),
+        (["roofline-plot", "--context", ","], "--context"),
+    ])
+    def test_ignored_or_empty_point_flags_are_config_errors(self, argv, named, tmp_path):
+        argv = [argv[0], "--model", "dense-70b", "--hardware", "b200-sxm", *argv[1:]]
+        with pytest.raises(ConfigError, match=named):
+            run(argv + ["--out", str(tmp_path)])
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, named", [
+        (["compare-attention", "--grid", "B=64,L=1k..4k:log"], "--batch"),
+        (["compare-attention", "--grid", "L=4k"], "two distinct L values"),
+        (["compare-attention", "--grid", "L=4k,4k"], "two distinct L values"),
+        (["compare-moe", "--batch", ","], "--batch"),
+    ])
+    def test_compare_grid_errors_write_nothing(self, argv, named, tmp_path):
+        argv = [argv[0], "--model", "mha-48x2048", "--model", "gqa8-48x2048", *argv[1:]]
+        with pytest.raises(ConfigError, match=named):
+            run(argv + ["--out", str(tmp_path)])
+        assert not list(tmp_path.iterdir())
+
 
 class TestProcessLevel:
     def run_cli(self, *args):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from caproof.config import model_to_dict, parse_model
 from caproof.model import (
     GQA,
     MHA,
@@ -11,7 +12,9 @@ from caproof.model import (
     ModelSpec,
     Phase,
     activated_params,
+    embedding_params,
     flops_per_token,
+    kv_bits_per_token,
     kv_bytes_per_token,
     total_params,
     weight_bytes,
@@ -199,6 +202,45 @@ class TestFlopsPerToken:
         spec = ref48_spec()
         values = [flops_per_token(spec, Phase.DECODE, c) for c in (1, 2, 10, 100)]
         assert values == sorted(values) and len(set(values)) == len(values)
+
+
+class TestModelCosts:
+    def test_costs_agree_with_counts_on_random_specs(self):
+        rng = random.Random(606)
+        seen = set()
+        for i in range(300):
+            spec = random_model(rng, force_moe=i % 2 == 0)
+            seen.add((spec.attention.kind, spec.moe is None))
+            costs = spec.costs
+            assert costs.weight_bits == total_params(spec) * spec.weight_bits
+            assert costs.weight_bits == params_oracle(spec) * spec.weight_bits
+            assert costs.matmul_weights == activated_params(spec) - embedding_params(spec)
+            assert costs.matmul_weights == (params_oracle(spec, True)
+                                            - spec.vocab_size * spec.d_model)
+            assert costs.kv_bits == kv_bits_per_token(spec)
+            assert costs.kv_bits / 8 == kv_bytes_per_token_oracle(spec)
+            assert costs.attn == spec.num_layers * spec.num_heads * spec.head_dim
+            assert costs.act_bytes == 2 * spec.num_layers * spec.d_model * spec.weight_bits / 8
+            assert 2 * costs.matmul_weights + 4 * costs.attn * 7 == flops_per_token_oracle(spec, 7)
+        assert seen == {(kind, dense) for kind in ("mha", "gqa", "mla")
+                        for dense in (True, False)}
+
+    def test_replace_derives_fresh_costs(self):
+        spec = ref48_spec()
+        before = spec.costs
+        wider = dataclasses.replace(spec, kv_bits=32)
+        assert wider.costs != before
+        assert wider.costs.kv_bits == 2 * before.kv_bits
+        assert spec.costs is before
+
+    def test_costs_are_not_a_field(self):
+        assert "costs" not in {f.name for f in dataclasses.fields(ModelSpec)}
+        used, fresh = ref48_spec(), ref48_spec()
+        used.costs
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) and "costs" not in repr(used)
+        assert model_to_dict(used) == model_to_dict(fresh)
+        assert parse_model(model_to_dict(used), "round-trip") == used
 
 
 class TestValidation:

@@ -124,6 +124,11 @@ def _compared_models(args):
     models = [resolve_config(ref, "model", args.allow_unknown_keys) for ref in args.model]
     if len(models) < 2:
         raise ConfigError(f"{args.command} needs at least two --model entries")
+    names = [spec.name for spec in models]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"{args.command} needs distinct model names; "
+                              f"'{name}' names more than one --model")
     return models
 
 
@@ -191,10 +196,10 @@ def _compare_attention(args) -> reports.Report:
     if "B" in grid:
         raise ConfigError("compare-attention takes one batch size from --batch, "
                           "not a B grid dimension")
-    lengths = grid.get("L")
-    if not lengths:
+    if "L" not in grid:
         raise ConfigError("compare-attention grid must define the L dimension")
-    if min(lengths) == max(lengths):
+    lengths = sorted(set(grid["L"]))
+    if len(lengths) < 2:
         raise ConfigError("compare-attention grid needs at least two distinct L values "
                           "for its log axis")
     rows = reports.compare_attention_rows(models, lengths, args.batch)
@@ -207,8 +212,8 @@ def _compare_attention(args) -> reports.Report:
 
 def _compare_moe(args) -> reports.Report:
     models = _compared_models(args)
-    rows = reports.compare_moe_rows(models, _int_list(args.batch, "--batch", "1,16"),
-                                    args.context, args.include_activations)
+    batches = sorted(set(_int_list(args.batch, "--batch", "1,16")))
+    rows = reports.compare_moe_rows(models, batches, args.context, args.include_activations)
     return reports.Report(
         csv=lambda: reports.compare_moe_csv(rows),
         text=lambda: reports.compare_moe_text(rows, args.context),

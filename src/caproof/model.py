@@ -78,8 +78,8 @@ class MoESpec:
 
     num_experts: int
     top_k: int
+    d_ff_expert: int
     num_shared_experts: int = 0
-    d_ff_expert: int = 0
 
     def __post_init__(self):
         if self.num_experts < 1:

@@ -7,7 +7,7 @@ import pytest
 
 from caproof import reports
 from caproof.analysis import classify
-from caproof.cli import parse_grid, parse_int_list, parse_scalar, run
+from caproof.cli import main, parse_grid, parse_int_list, parse_scalar, run
 from caproof.config import ConfigError, resolve_config
 from caproof.metrics import OperatingPoint, decode_metrics
 from caproof.model import Phase
@@ -238,6 +238,34 @@ class TestFlags:
         with pytest.raises(ConfigError, match=named):
             run(argv + ["--out", str(tmp_path)])
         assert not list(tmp_path.iterdir())
+
+    def test_compare_sorts_and_dedupes_grid_values(self, tmp_path):
+        attention = self.csv_rows(tmp_path, ["compare-attention", "--model", "mha-48x2048",
+                                             "--model", "gqa8-48x2048", "--grid", "L=8k,1k,8k"],
+                                  "attention")
+        assert [row["context_len"] for row in attention] == ["1000", "8000"]
+        moe = self.csv_rows(tmp_path, ["compare-moe", "--model", "dense-70b", "--model",
+                                       "moe-256e", "--batch", "16,1,16"], "moe")
+        assert [(row["model"], row["batch_size"]) for row in moe] == [
+            ("dense-70b", "1"), ("dense-70b", "16"), ("moe-256e", "1"), ("moe-256e", "16"),
+        ]
+
+    @pytest.mark.parametrize("command", ["compare-attention", "compare-moe"])
+    def test_compare_rejects_duplicate_model_names(self, command, tmp_path, capsys,
+                                                   monkeypatch):
+        paths = []
+        for layers in (2, 40):
+            path = tmp_path / f"x{layers}.json"
+            path.write_text(json.dumps({"type": "model", "name": "x", "num_layers": layers,
+                                        "d_model": 64, "num_heads": 4, "d_ff": 128}))
+            paths += ["--model", str(path)]
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["caproof", command, *paths, "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert "'x'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestProcessLevel:

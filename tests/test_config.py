@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import random
 
 import pytest
 
+from caproof.cli import main
 from caproof.config import (
     ConfigError,
     dump_config,
@@ -11,8 +14,9 @@ from caproof.config import (
     spec_to_dict,
 )
 from caproof.hardware import HardwareSpec
-from caproof.model import GQA, MLA, ModelSpec
+from caproof.model import GQA, MLA, MoESpec, ModelSpec
 from caproof.workload import WorkloadSpec
+from oracles import random_model
 
 
 def write(tmp_path, name, data):
@@ -158,3 +162,110 @@ def test_resolve_rejects_wrong_kind(tmp_path):
 def test_resolve_unknown_name_lists_presets():
     with pytest.raises(ConfigError, match="coding-agent"):
         resolve_config("no-such-workload", "workload")
+
+
+HARDWARE = {"type": "hardware", "name": "h", "peak_flops": {"16": 1e15},
+            "mem_bandwidth": 1e12, "mem_capacity": 1e11}
+WORKLOAD = {"type": "workload", "name": "w", "turns": 3, "prefill_tokens_per_turn": 10,
+            "decode_tokens_per_turn": 2}
+MOE_MODEL = dict(MINIMAL_MODEL, moe={"num_experts": 4, "top_k": 2, "d_ff_expert": 32})
+
+
+def without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("data, named", [
+    (without(MINIMAL_MODEL, "num_layers"), "missing required key 'num_layers'"),
+    (dict(MINIMAL_MODEL, num_layers="2"), "key 'num_layers' must be int"),
+    (without(HARDWARE, "mem_bandwidth"), "missing required key 'mem_bandwidth'"),
+    (dict(HARDWARE, mem_capacity="1e11"), "key 'mem_capacity' must be float"),
+    (without(WORKLOAD, "turns"), "missing required key 'turns'"),
+    (dict(WORKLOAD, batch_size=1.5), "key 'batch_size' must be int"),
+    (dict(MOE_MODEL, moe=without(MOE_MODEL["moe"], "d_ff_expert")),
+     ".moe: missing required key 'd_ff_expert'"),
+    (dict(MOE_MODEL, moe=dict(MOE_MODEL["moe"], top_k=True)),
+     ".moe: key 'top_k' must be an integer"),
+])
+def test_error_names_the_file_once(tmp_path, data, named):
+    path = write(tmp_path, "bad.json", data)
+    with pytest.raises(ConfigError, match=named) as exc:
+        load_config(path)
+    assert str(exc.value).count(str(path)) == 1
+
+
+def test_cli_error_names_the_file_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "bad.json", dict(MINIMAL_MODEL, num_layers="2"))
+    monkeypatch.setattr("sys.argv", ["caproof", "analyze", "--model", str(path),
+                                     "--hardware", "unit-device", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {path}: key 'num_layers' must be int, got str\n"
+
+
+def test_nested_errors_name_the_nested_object(tmp_path):
+    bad_moe = dict(MOE_MODEL, moe=dict(MOE_MODEL["moe"], top_k=8))
+    with pytest.raises(ConfigError, match=r"m\.json\.moe: top_k \(8\) must not exceed"):
+        load_config(write(tmp_path, "m.json", bad_moe))
+    bad_gqa = dict(MINIMAL_MODEL, attention={"kind": "gqa", "num_kv_heads": 0})
+    with pytest.raises(ConfigError, match=r"m\.json\.attention: num_kv_heads must be >= 1"):
+        load_config(write(tmp_path, "m.json", bad_gqa))
+
+
+@pytest.mark.parametrize("nested, named", [
+    ({"moe": dict(MOE_MODEL["moe"], type="moe")}, r"\.moe: unknown key 'type'"),
+    ({"moe": dict(MOE_MODEL["moe"], **{"": 1})}, r"\.moe: unknown key ''"),
+    ({"attention": {"kind": "mha", "type": "mha"}}, r"\.attention: unknown key 'type'"),
+    ({"attention": {"kind": "mla", "d_latent": 8, "kv": 1}}, r"\.attention: unknown key 'kv'"),
+])
+def test_nested_unknown_keys_rejected(tmp_path, nested, named):
+    path = write(tmp_path, "m.json", dict(MINIMAL_MODEL, **nested))
+    with pytest.raises(ConfigError, match=named):
+        load_config(path)
+    assert load_config(path, allow_unknown=True).name == "mini"
+
+
+def test_moe_null_means_absent(tmp_path):
+    spec = load_config(write(tmp_path, "m.json", dict(MINIMAL_MODEL, moe=None)))
+    assert spec.moe is None
+    assert "moe" not in spec_to_dict(spec)
+
+
+def test_dump_writes_keys_in_field_order(tmp_path):
+    spec = load_config(write(tmp_path, "m.json", MOE_MODEL))
+    data = spec_to_dict(spec)
+    assert list(data) == ["type"] + [f.name for f in dataclasses.fields(ModelSpec)]
+    assert list(data["moe"]) == [f.name for f in dataclasses.fields(MoESpec)]
+    assert data["attention"] == {"kind": "mha"}
+
+
+def test_random_models_round_trip(tmp_path):
+    rng = random.Random(4)
+    seen = set()
+    path = tmp_path / "m.json"
+    for _ in range(400):
+        spec = random_model(rng)
+        seen.add((spec.attention.kind, spec.moe is None, spec.ffn_gated))
+        dump_config(spec, path)
+        reloaded = load_config(path)
+        assert reloaded == spec
+        assert spec_to_dict(reloaded) == spec_to_dict(spec)
+    assert seen == {(kind, dense, gated) for kind in ("mha", "gqa", "mla")
+                    for dense in (True, False) for gated in (True, False)}
+
+
+@pytest.mark.parametrize("spec", [
+    HardwareSpec(name="h1", peak_flops={16: 2.5e15, 4: 1e16, 8: 5e15}, mem_bandwidth=8e12,
+                 mem_capacity=1.92e11, num_devices=8),
+    HardwareSpec(name="tiny", peak_flops={32: 1.0}, mem_bandwidth=0.5, mem_capacity=3.0),
+    WorkloadSpec(name="w1", turns=1, prefill_tokens_per_turn=0, decode_tokens_per_turn=0),
+    WorkloadSpec(name="w2", turns=50, prefill_tokens_per_turn=12000,
+                 decode_tokens_per_turn=400, carry_context=False, batch_size=64),
+])
+def test_hand_built_specs_round_trip(spec, tmp_path):
+    path = tmp_path / "spec.json"
+    dump_config(spec, path)
+    reloaded = load_config(path)
+    assert reloaded == spec
+    assert spec_to_dict(reloaded) == spec_to_dict(spec)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from caproof.config import model_to_dict, parse_model
+from caproof.config import parse_config, spec_to_dict
 from caproof.model import (
     GQA,
     MHA,
@@ -239,8 +239,8 @@ class TestModelCosts:
         used.costs
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) and "costs" not in repr(used)
-        assert model_to_dict(used) == model_to_dict(fresh)
-        assert parse_model(model_to_dict(used), "round-trip") == used
+        assert spec_to_dict(used) == spec_to_dict(fresh)
+        assert parse_config(spec_to_dict(used), "round-trip") == used
 
 
 class TestValidation:

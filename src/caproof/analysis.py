@@ -19,10 +19,10 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .hardware import HardwareSpec, ridge_point
-from .metrics import OperatingPoint, PhaseMetrics, phase_metrics
+from .metrics import OperatingPoint, PhaseMetrics, _metrics
 from .model import ModelSpec, Phase
 from .workload import WorkloadSpec, expand, total_tokens
 
@@ -34,8 +34,7 @@ class BoundClass(enum.Enum):
     CAPACITY_EXCEEDED = "capacity_exceeded"
 
 
-@dataclass(frozen=True)
-class PhaseAnalysis:
+class PhaseAnalysis(NamedTuple):
     metrics: PhaseMetrics
     bound_class: BoundClass
     attainable_tokens_per_s: float
@@ -117,28 +116,25 @@ def classify(
       largest per-device-feasible batch.
 
     OI is monotone non-decreasing in batch size (weight amortization), so
-    ridge reachability is decided at that largest feasible batch.
+    ridge reachability is decided at that largest feasible batch, whose OI
+    comes from the same formula as the point's.
     """
     bits = spec.weight_bits
     ridge = ridge_point(hw, bits)
-    metrics = phase_metrics(spec, point, include_activations)
     costs = spec.costs
+    length, phase = point.context_len, point.phase
+    metrics = PhaseMetrics(*_metrics(costs, phase, length, point.batch_size,
+                                     include_activations))
     weights = costs.weight_bits
-    kv_bits = costs.kv_bits * point.context_len
+    kv_bits = costs.kv_bits * length
     cap_dev = _device_capacity_bits(hw)
     feasible = _feasible_batch(weights, kv_bits, cap_dev, hw.num_devices, replicate_weights)
     devices = _device_count(weights, kv_bits, cap_dev, point.batch_size, replicate_weights)
 
     if weights + kv_bits > cap_dev:
-        return PhaseAnalysis(
-            metrics=metrics,
-            bound_class=BoundClass.CAPACITY_EXCEEDED,
-            attainable_tokens_per_s=0.0,
-            mfu_est=0.0,
-            mbu_est=0.0,
-            max_feasible_batch=feasible,
-            min_devices=devices,
-        )
+        # no attainable rate, mfu or mbu
+        return PhaseAnalysis(metrics, BoundClass.CAPACITY_EXCEEDED, 0.0, 0.0, 0.0,
+                             feasible, devices)
 
     peak = hw.peak_for(bits)
     if metrics.oi >= ridge:
@@ -147,32 +143,20 @@ def classify(
         flops_rate = peak
     else:
         per_device_batch = (cap_dev - weights) // kv_bits
-        best = phase_metrics(
-            spec,
-            OperatingPoint(point.context_len, per_device_batch, point.phase),
-            include_activations,
-        )
-        if best.oi >= ridge:
+        best_oi = _metrics(costs, phase, length, per_device_batch, include_activations)[0]
+        if best_oi >= ridge:
             bound = BoundClass.BANDWIDTH_BOUND
             mfu, mbu = metrics.oi / ridge, 1.0
             flops_rate = metrics.oi * hw.mem_bandwidth
         else:
             bound = BoundClass.CAPACITY_LIMITED
-            mfu, mbu = best.oi / ridge, 1.0
-            flops_rate = best.oi * hw.mem_bandwidth
-    return PhaseAnalysis(
-        metrics=metrics,
-        bound_class=bound,
-        attainable_tokens_per_s=flops_rate / metrics.flops_per_token * hw.num_devices,
-        mfu_est=mfu,
-        mbu_est=mbu,
-        max_feasible_batch=feasible,
-        min_devices=devices,
-    )
+            mfu, mbu = best_oi / ridge, 1.0
+            flops_rate = best_oi * hw.mem_bandwidth
+    return PhaseAnalysis(metrics, bound, flops_rate / metrics.flops_per_token * hw.num_devices,
+                         mfu, mbu, feasible, devices)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     row_kind: str  # "point" or "workload_total"
     phase: Phase
     batch_size: int
@@ -213,14 +197,14 @@ class SweepResult:
     rows: Tuple[SweepRow, ...]
 
     def to_csv(self, out: TextIO) -> None:
-        """Stable column schema, full float precision, deterministic order."""
+        """Stable column schema, full float precision, deterministic order.
+        Rows are unpacked in field order."""
         write_csv(out, CSV_COLUMNS, (
-            (row.row_kind, row.workload, row.turn_index, row.phase.value, row.batch_size,
-             row.context_len, a.metrics.oi, a.metrics.cf, a.metrics.flops_per_token,
-             a.metrics.bytes_per_token, a.bound_class.value, a.attainable_tokens_per_s,
-             a.mfu_est, a.mbu_est, a.max_feasible_batch, a.min_devices,
-             row.prefill_total_tokens, row.decode_total_tokens)
-            for row in self.rows for a in (row.analysis,)
+            (kind, workload, turn, phase.value, batch, length, oi, cf, flops, nbytes,
+             bound.value, rate, mfu, mbu, feasible, devices, prefill_total, decode_total)
+            for (kind, phase, batch, length,
+                 ((oi, cf, flops, nbytes), bound, rate, mfu, mbu, feasible, devices),
+                 workload, turn, prefill_total, decode_total) in self.rows
         ))
 
 

@@ -191,6 +191,8 @@ def _sweep(args) -> reports.Report:
 
 
 def _compare_attention(args) -> reports.Report:
+    if args.batch < 1:
+        raise ConfigError(f"--batch must be >= 1, got {args.batch}")
     models = _compared_models(args)
     grid = parse_grid(args.grid)
     if "B" in grid:

@@ -10,8 +10,9 @@ denominator, so both conventions are available.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Tuple
 
-from .model import ModelSpec, Phase, flops_per_token
+from .model import ModelCosts, ModelSpec, Phase
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,7 @@ class OperatingPoint:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-@dataclass(frozen=True)
-class PhaseMetrics:
+class PhaseMetrics(NamedTuple):
     oi: float  # FLOPs per DRAM byte
     cf: float  # DRAM bytes per request
     flops_per_token: float
@@ -53,11 +53,30 @@ def oi_matmul_bytes(m: int, d: int, length: int, element_bits: int) -> float:
     return oi_matmul(m, d, length) / (element_bits / 8)
 
 
+def _metrics(costs: ModelCosts, phase: Phase, length: int, batch: int,
+             include_activations: bool) -> Tuple[float, float, float, float]:
+    """(oi, cf, flops_per_token, bytes_per_token) at context length L and
+    batch B, from the spec's costs. The one formula behind cf_request,
+    decode_metrics, prefill_metrics and analysis.classify, which reads the
+    point and its largest per-device batch from it; arguments are not
+    validated here. Decode FLOPs equal model.flops_per_token at L."""
+    kv = costs.kv_bits / 8
+    if phase is Phase.PREFILL:
+        bytes_per_tok = costs.weight_bits / 8 / (batch * length) + kv
+        flops = 2 * costs.matmul_weights + 2 * costs.attn * (length + 1)
+    else:
+        bytes_per_tok = costs.weight_bits / 8 / batch + kv * length + kv
+        flops = 2 * costs.matmul_weights + 4 * costs.attn * length
+    if include_activations:
+        bytes_per_tok += costs.act_bytes
+    cf = kv * length + costs.weight_bits / 8 / batch
+    return flops / bytes_per_tok, cf, float(flops), bytes_per_tok
+
+
 def cf_request(spec: ModelSpec, point: OperatingPoint) -> float:
     """Per-request DRAM bytes: KV cache for the full context plus the weight
     bytes amortized over the batch."""
-    costs = spec.costs
-    return costs.kv_bits / 8 * point.context_len + costs.weight_bits / 8 / point.batch_size
+    return _metrics(spec.costs, point.phase, point.context_len, point.batch_size, False)[1]
 
 
 def decode_metrics(
@@ -73,19 +92,8 @@ def decode_metrics(
     """
     if point.phase is not Phase.DECODE:
         raise ValueError(f"decode_metrics requires a DECODE point, got {point.phase}")
-    costs = spec.costs
-    length = point.context_len
-    kv = costs.kv_bits / 8
-    bytes_per_tok = costs.weight_bits / 8 / point.batch_size + kv * length + kv
-    if include_activations:
-        bytes_per_tok += costs.act_bytes
-    flops = flops_per_token(spec, Phase.DECODE, length)
-    return PhaseMetrics(
-        oi=flops / bytes_per_tok,
-        cf=cf_request(spec, point),
-        flops_per_token=float(flops),
-        bytes_per_token=bytes_per_tok,
-    )
+    return PhaseMetrics(*_metrics(spec.costs, Phase.DECODE, point.context_len,
+                                  point.batch_size, include_activations))
 
 
 def prefill_metrics(
@@ -99,19 +107,8 @@ def prefill_metrics(
     """
     if point.phase is not Phase.PREFILL:
         raise ValueError(f"prefill_metrics requires a PREFILL point, got {point.phase}")
-    costs = spec.costs
-    length = point.context_len
-    kv = costs.kv_bits / 8
-    bytes_per_tok = costs.weight_bits / 8 / (point.batch_size * length) + kv
-    if include_activations:
-        bytes_per_tok += costs.act_bytes
-    flops = 2 * costs.matmul_weights + 2 * costs.attn * (length + 1)
-    return PhaseMetrics(
-        oi=flops / bytes_per_tok,
-        cf=cf_request(spec, point),
-        flops_per_token=float(flops),
-        bytes_per_token=bytes_per_tok,
-    )
+    return PhaseMetrics(*_metrics(spec.costs, Phase.PREFILL, point.context_len,
+                                  point.batch_size, include_activations))
 
 
 def phase_metrics(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
 from .analysis import BoundClass, SweepResult, classify, write_csv
-from .hardware import HardwareSpec, attainable_flops, ridge_point
+from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, decode_metrics
 from .model import ModelSpec, Phase, kv_bytes_per_token, weight_bytes
 from .svg import Canvas, LogScale, draw_frame, fmt, si
@@ -72,6 +72,7 @@ def roofline_svg(
     boundedness class. Per-device axes."""
     bits = model.weight_bits
     peak = hw.peak_for(bits)
+    bandwidth = hw.mem_bandwidth
     ridge = ridge_point(hw, bits)
     ois = [row.analysis.metrics.oi for row in result.rows]
     lo = min(ois + [ridge]) / 4
@@ -81,24 +82,26 @@ def roofline_svg(
     x0, y0, x1, y1 = 70, 40, width - 170, height - 60
     canvas = Canvas(width, height)
     xs = LogScale(lo, hi, x0, x1)
-    ys = LogScale(min(lo * hw.mem_bandwidth, peak) / 4, peak * 4, y1, y0)
+    ys = LogScale(min(lo * bandwidth, peak) / 4, peak * 4, y1, y0)
     draw_frame(canvas, x0, y0, x1, y1, title=title, x_label="operational intensity (FLOPs/byte)",
                y_label="attainable FLOP/s per device", xs=xs, ys=ys)
 
     # Bandwidth arm up to the ridge, then the flat compute roof.
     canvas.polyline(
-        [(xs(lo), ys(lo * hw.mem_bandwidth)), (xs(ridge), ys(peak)), (xs(hi), ys(peak))],
+        [(xs(lo), ys(lo * bandwidth)), (xs(ridge), ys(peak)), (xs(hi), ys(peak))],
         stroke="#222",
         width=2,
     )
     canvas.circle(xs(ridge), ys(peak), 4, fill="#222")
     canvas.text(xs(ridge), ys(peak) - 8, f"ridge {fmt(ridge)}", size=10, anchor="middle")
 
+    # Each point sits on the roofline: attainable_flops with peak and
+    # bandwidth read once, outside the per-row loop.
     for row in result.rows:
         a = row.analysis
         oi = a.metrics.oi
-        y_val = attainable_flops(hw, bits, oi)
-        canvas.circle(xs(oi), ys(y_val), 4, fill=CLASS_COLORS[a.bound_class], stroke="#333")
+        canvas.circle(xs(oi), ys(min(peak, oi * bandwidth)), 4,
+                      fill=CLASS_COLORS[a.bound_class], stroke="#333")
 
     legend_x, legend_y = x1 + 12, y0 + 10
     for i, bound in enumerate(BoundClass):

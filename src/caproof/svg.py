@@ -87,13 +87,15 @@ class LogScale:
         if lo <= 0 or hi <= lo:
             raise ValueError(f"log scale needs 0 < lo < hi, got [{lo}, {hi}]")
         self.lo, self.hi = lo, hi
-        self.out_lo, self.out_hi = out_lo, out_hi
+        self.out_lo = out_lo
+        # The constant terms of __call__, computed once per scale.
+        self._log_lo = math.log10(lo)
+        self._log_span = math.log10(hi) - self._log_lo
+        self._out_span = out_hi - out_lo
 
     def __call__(self, value: float) -> float:
-        frac = (math.log10(value) - math.log10(self.lo)) / (
-            math.log10(self.hi) - math.log10(self.lo)
-        )
-        return self.out_lo + frac * (self.out_hi - self.out_lo)
+        frac = (math.log10(value) - self._log_lo) / self._log_span
+        return self.out_lo + frac * self._out_span
 
     def ticks(self) -> List[float]:
         first = math.floor(math.log10(self.lo))

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from caproof import model
+from caproof import analysis, metrics, model
 from caproof.analysis import (
     BoundClass,
+    PhaseAnalysis,
+    SweepRow,
     classify,
     max_feasible_batch,
     min_devices,
@@ -15,7 +17,7 @@ from caproof.analysis import (
 )
 from caproof.config import resolve_config
 from caproof.hardware import HardwareSpec, ridge_point
-from caproof.metrics import OperatingPoint, decode_metrics, phase_metrics
+from caproof.metrics import OperatingPoint, PhaseMetrics, decode_metrics, phase_metrics
 from caproof.model import (
     GQA,
     MHA,
@@ -353,3 +355,97 @@ class TestCostsDerivedOncePerSpec:
         result = sweep_workload(ref48_spec(), hw, workload)
         assert len(result.rows) > 2
         assert len(total_params_calls) <= 2
+
+
+class TestLeanPerPointPath:
+    """The per-point path builds only the point's own result tuples."""
+
+    def test_below_ridge_grid_calls_no_phase_metrics(self, monkeypatch):
+        calls = []
+        original = metrics.phase_metrics
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (metrics, analysis):
+            if getattr(module, "phase_metrics", None) is original:
+                monkeypatch.setattr(module, "phase_metrics", counting)
+        hw = make_hw(1e12, 1e10, 192e9)  # ridge 100: every decode point is below it
+        lengths = [2**i for i in range(1, 17)]
+        result = sweep_grid(ref48_spec(), hw, range(1, 65), lengths, phases=(Phase.DECODE,))
+        assert len(result.rows) == 1024
+        assert {r.analysis.bound_class for r in result.rows} == {
+            BoundClass.BANDWIDTH_BOUND, BoundClass.CAPACITY_LIMITED}
+        assert calls == []
+
+    def test_result_fields_are_read_only(self):
+        hw = make_hw(2.25e15, 8e12, 192e9)
+        row = sweep_grid(ref48_spec(), hw, [1], [4096]).rows[0]
+        for value in (row, row.analysis, row.analysis.metrics):
+            for name in type(value)._fields:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+
+    def test_field_order_is_the_dataclass_order(self):
+        assert PhaseMetrics._fields == ("oi", "cf", "flops_per_token", "bytes_per_token")
+        assert PhaseAnalysis._fields == (
+            "metrics", "bound_class", "attainable_tokens_per_s", "mfu_est", "mbu_est",
+            "max_feasible_batch", "min_devices")
+        assert SweepRow._fields == (
+            "row_kind", "phase", "batch_size", "context_len", "analysis", "workload",
+            "turn_index", "prefill_total_tokens", "decode_total_tokens")
+        assert SweepRow._field_defaults == {
+            "workload": "", "turn_index": None, "prefill_total_tokens": None,
+            "decode_total_tokens": None}
+
+
+def boundary_hardware(rng: random.Random, spec: ModelSpec, point: OperatingPoint,
+                      include_activations: bool) -> HardwareSpec:
+    """Random hardware whose ridge lies below the point's OI, between it and
+    the OI at the largest batch that fits one device, or above both, so all
+    four classes occur."""
+    request = weight_bytes(spec) + kv_bytes_per_token(spec) * point.context_len
+    capacity = int(request * 10 ** rng.uniform(-0.1, 3)) + 1
+    per_device = max(1, max_feasible_batch(spec, make_hw(1.0, 1.0, capacity), point.context_len))
+    oi = phase_metrics(spec, point, include_activations).oi
+    best = phase_metrics(spec, OperatingPoint(point.context_len, per_device, point.phase),
+                         include_activations).oi
+    bandwidth = 10 ** rng.uniform(9, 13)
+    ridge = oi * (best / oi) ** rng.uniform(-0.5, 1.5)
+    return make_hw(ridge * bandwidth, bandwidth, capacity, devices=rng.choice([1, 2, 4]))
+
+
+class TestClassifySingleSource:
+    """classify's OI at the point and at the largest per-device batch come
+    from the formula behind metrics.phase_metrics, bit for bit."""
+
+    @pytest.mark.parametrize("include_activations", [False, True])
+    @pytest.mark.parametrize("replicate_weights", [False, True])
+    def test_matches_phase_metrics(self, include_activations, replicate_weights):
+        rng = random.Random(2 * include_activations + replicate_weights)
+        seen = set()
+        for _ in range(300):
+            spec = random_model(rng)
+            point = random_point(rng)
+            hw = boundary_hardware(rng, spec, point, include_activations)
+            result = classify(spec, hw, point, include_activations, replicate_weights)
+            expected = phase_metrics(spec, point, include_activations)
+            for name in PhaseMetrics._fields:
+                assert getattr(result.metrics, name) == getattr(expected, name), name
+            seen.add(result.bound_class)
+            if result.bound_class not in (BoundClass.BANDWIDTH_BOUND,
+                                          BoundClass.CAPACITY_LIMITED):
+                continue
+            one_device = dataclasses.replace(hw, num_devices=1)
+            per_device = max_feasible_batch(spec, one_device, point.context_len)
+            best = phase_metrics(spec, OperatingPoint(point.context_len, per_device, point.phase),
+                                 include_activations).oi
+            ridge = ridge_point(hw, spec.weight_bits)
+            assert (result.bound_class is BoundClass.BANDWIDTH_BOUND) == (best >= ridge)
+            if result.bound_class is BoundClass.CAPACITY_LIMITED:
+                assert result.mfu_est == best / ridge
+                assert result.attainable_tokens_per_s == (
+                    best * hw.mem_bandwidth / expected.flops_per_token * hw.num_devices)
+        assert seen == set(BoundClass)
+

@@ -232,6 +232,8 @@ class TestFlags:
         (["compare-attention", "--grid", "L=4k"], "two distinct L values"),
         (["compare-attention", "--grid", "L=4k,4k"], "two distinct L values"),
         (["compare-moe", "--batch", ","], "--batch"),
+        (["compare-attention", "--batch", "0"], "--batch"),
+        (["compare-attention", "--batch", "-1"], "--batch"),
     ])
     def test_compare_grid_errors_write_nothing(self, argv, named, tmp_path):
         argv = [argv[0], "--model", "mha-48x2048", "--model", "gqa8-48x2048", *argv[1:]]

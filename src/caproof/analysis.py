@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
@@ -190,6 +191,22 @@ CSV_COLUMNS = (
 )
 
 
+# Rows per write when a sweep artifact is streamed to a file.
+ROW_BLOCK = 1000
+
+
+class _QuotedCells(dict):
+    """A string cell as the csv module writes it inside a row, computed once
+    per distinct string. A lone empty field would be written as '""', so
+    each cell is quoted next to a second, empty one."""
+
+    def __missing__(self, text: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((text, ""))
+        cell = self[text] = buf.getvalue()[:-2]
+        return cell
+
+
 @dataclass(frozen=True)
 class SweepResult:
     model: str
@@ -197,15 +214,28 @@ class SweepResult:
     rows: Tuple[SweepRow, ...]
 
     def to_csv(self, out: TextIO) -> None:
-        """Stable column schema, full float precision, deterministic order.
-        Rows are unpacked in field order."""
-        write_csv(out, CSV_COLUMNS, (
-            (kind, workload, turn, phase.value, batch, length, oi, cf, flops, nbytes,
-             bound.value, rate, mfu, mbu, feasible, devices, prefill_total, decode_total)
-            for (kind, phase, batch, length,
-                 ((oi, cf, flops, nbytes), bound, rate, mfu, mbu, feasible, devices),
-                 workload, turn, prefill_total, decode_total) in self.rows
-        ))
+        """Stable column schema, full float precision, deterministic order,
+        byte-identical to write_csv. Each row is formatted as one line and
+        the lines are written ROW_BLOCK at a time, so the CSV is never held
+        whole: floats with repr, ints with str, None as an empty cell, and
+        each distinct string cell quoted once by the csv module."""
+        quoted = _QuotedCells()
+        phases = {phase: quoted[phase.value] for phase in Phase}
+        bounds = {bound: quoted[bound.value] for bound in BoundClass}
+        out.write(",".join(CSV_COLUMNS) + "\n")
+        rows = self.rows
+        for start in range(0, len(rows), ROW_BLOCK):
+            out.write("".join([
+                f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
+                f"{phases[phase]},{batch},{length},{oi!r},{cf!r},{flops!r},{nbytes!r},"
+                f"{bounds[bound]},{rate!r},{mfu!r},{mbu!r},{feasible},{devices},"
+                f"{'' if prefill_total is None else prefill_total},"
+                f"{'' if decode_total is None else decode_total}\n"
+                for (kind, phase, batch, length,
+                     ((oi, cf, flops, nbytes), bound, rate, mfu, mbu, feasible, devices),
+                     workload, turn, prefill_total, decode_total)
+                in rows[start:start + ROW_BLOCK]
+            ]))
 
 
 def write_csv(out: TextIO, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:

@@ -132,12 +132,20 @@ def _compared_models(args):
     return models
 
 
-def _int_list(text: Optional[str], flag: str, default: str) -> List[int]:
+def _at_least_one(values: List[int], flag: str, field: str) -> List[int]:
+    """The values, checked before any artifact is written; the error names
+    the flag and the field it sets."""
+    if min(values) < 1:
+        raise ConfigError(f"{flag}: {field} must be >= 1, got {min(values)}")
+    return values
+
+
+def _int_list(text: Optional[str], flag: str, default: str, field: str) -> List[int]:
     """The values of a comma-list flag, or its default when it was not given."""
     values = parse_int_list(default if text is None else text)
     if not values:
         raise ConfigError(f"{flag} needs at least one value, got '{text}'")
-    return values
+    return _at_least_one(values, flag, field)
 
 
 def _reject_with_workload(args, *flags: str) -> None:
@@ -161,16 +169,17 @@ def _sweep_report(args, workload_ref, batches=(), contexts=()) -> reports.Report
         phases = _PHASES[args.phase or "both"]
         result = sweep_grid(model, hw, batches, contexts, phases, *flags)
     return reports.Report(
-        csv=lambda: reports.sweep_csv(result),
-        text=lambda: reports.sweep_text(result),
-        svg=lambda: reports.roofline_svg(model, hw, result, f"{model.name} on {hw.name}"),
+        csv=result.to_csv,
+        text=lambda out: reports.sweep_text(result, out),
+        svg=lambda out: reports.roofline_svg(model, hw, result, f"{model.name} on {hw.name}",
+                                             out),
         exceeded=any(r.analysis.bound_class is BoundClass.CAPACITY_EXCEEDED for r in result.rows),
     )
 
 
 def _analyze(args) -> reports.Report:
-    return _sweep_report(args, None, _int_list(args.batch, "--batch", "1"),
-                         _int_list(args.context, "--context", "4096"))
+    return _sweep_report(args, None, _int_list(args.batch, "--batch", "1", "batch_size"),
+                         _int_list(args.context, "--context", "4096", "context_len"))
 
 
 def _roofline_plot(args) -> reports.Report:
@@ -187,12 +196,12 @@ def _sweep(args) -> reports.Report:
         _reject_with_workload(args, "phase")
         return _sweep_report(args, args.workload)
     grid = parse_grid(args.grid)
-    return _sweep_report(args, None, grid.get("B", [1]), grid.get("L", [4096]))
+    return _sweep_report(args, None, _at_least_one(grid.get("B", [1]), "--grid", "batch_size"),
+                         _at_least_one(grid.get("L", [4096]), "--grid", "context_len"))
 
 
 def _compare_attention(args) -> reports.Report:
-    if args.batch < 1:
-        raise ConfigError(f"--batch must be >= 1, got {args.batch}")
+    _at_least_one([args.batch], "--batch", "batch_size")
     models = _compared_models(args)
     grid = parse_grid(args.grid)
     if "B" in grid:
@@ -200,26 +209,27 @@ def _compare_attention(args) -> reports.Report:
                           "not a B grid dimension")
     if "L" not in grid:
         raise ConfigError("compare-attention grid must define the L dimension")
-    lengths = sorted(set(grid["L"]))
+    lengths = sorted(set(_at_least_one(grid["L"], "--grid", "context_len")))
     if len(lengths) < 2:
         raise ConfigError("compare-attention grid needs at least two distinct L values "
                           "for its log axis")
     rows = reports.compare_attention_rows(models, lengths, args.batch)
     return reports.Report(
-        csv=lambda: reports.compare_attention_csv(models, rows),
-        text=lambda: reports.compare_attention_text(models, rows, args.batch),
-        svg=lambda: reports.compare_attention_svg(models, rows, args.batch),
+        csv=lambda out: out.write(reports.compare_attention_csv(models, rows)),
+        text=lambda out: out.write(reports.compare_attention_text(models, rows, args.batch)),
+        svg=lambda out: out.write(reports.compare_attention_svg(models, rows, args.batch)),
     )
 
 
 def _compare_moe(args) -> reports.Report:
+    _at_least_one([args.context], "--context", "context_len")
     models = _compared_models(args)
-    batches = sorted(set(_int_list(args.batch, "--batch", "1,16")))
+    batches = sorted(set(_int_list(args.batch, "--batch", "1,16", "batch_size")))
     rows = reports.compare_moe_rows(models, batches, args.context, args.include_activations)
     return reports.Report(
-        csv=lambda: reports.compare_moe_csv(rows),
-        text=lambda: reports.compare_moe_text(rows, args.context),
-        svg=lambda: reports.compare_moe_svg(rows, args.context),
+        csv=lambda out: out.write(reports.compare_moe_csv(rows)),
+        text=lambda out: out.write(reports.compare_moe_text(rows, args.context)),
+        svg=lambda out: out.write(reports.compare_moe_svg(rows, args.context)),
     )
 
 
@@ -231,9 +241,9 @@ def _agent_profile(args) -> reports.Report:
     rows = reports.agent_profile_rows(model, hw, workloads, args.include_activations,
                                       args.replicate_weights)
     return reports.Report(
-        csv=lambda: reports.agent_profile_csv(rows),
-        text=lambda: reports.agent_profile_text(rows, model, hw),
-        svg=lambda: reports.agent_profile_svg(rows, hw),
+        csv=lambda out: out.write(reports.agent_profile_csv(rows)),
+        text=lambda out: out.write(reports.agent_profile_text(rows, model, hw)),
+        svg=lambda out: out.write(reports.agent_profile_svg(rows, hw)),
         exceeded=any(row["decode_class"] == BoundClass.CAPACITY_EXCEEDED.value for row in rows),
     )
 
@@ -305,15 +315,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_artifacts(out_dir: str, command: str, formats: Sequence[str],
                      report: reports.Report) -> List[Path]:
-    """Render and write each selected format in turn, so at most one rendered
-    artifact is held in memory."""
+    """Open each selected format's file in turn and hand it to the report's
+    renderer, which writes the artifact into it (a sweep artifact in row
+    blocks). A renderer that raises leaves no file for its format; the
+    artifacts written before it stay."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for fmt, extension in _EXTENSIONS.items():
         if fmt in formats:
             path = directory / f"{command}.{extension}"
-            path.write_text(getattr(report, fmt)(), encoding="utf-8")
+            out = open(path, "w", encoding="utf-8")
+            try:
+                with out:
+                    getattr(report, fmt)(out)
+            except BaseException:
+                path.unlink(missing_ok=True)
+                raise
             written.append(path)
     return written
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, TextIO
 
-from .analysis import BoundClass, SweepResult, classify, write_csv
+from .analysis import ROW_BLOCK, BoundClass, SweepResult, classify, write_csv
 from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, decode_metrics
 from .model import ModelSpec, Phase, kv_bytes_per_token, weight_bytes
@@ -31,52 +31,58 @@ SERIES_COLORS = ["#3182ce", "#d69e2e", "#38a169", "#805ad5", "#dd6b20", "#319795
 
 @dataclass(frozen=True)
 class Report:
-    """One command's artifacts as zero-argument renderers, so only the
-    formats asked for are rendered. `exceeded` is set when an analyzed point
-    is capacity_exceeded (the --strict exit)."""
+    """One command's artifacts as renderers that each write one format to an
+    open text file, so only the formats asked for are rendered and a sweep
+    artifact is streamed rather than held whole. `exceeded` is set when an
+    analyzed point is capacity_exceeded (the --strict exit)."""
 
-    csv: Callable[[], str]
-    text: Callable[[], str]
-    svg: Callable[[], str]
+    csv: Callable[[TextIO], object]
+    text: Callable[[TextIO], object]
+    svg: Callable[[TextIO], object]
     exceeded: bool = False
 
 
 def sweep_csv(result: SweepResult) -> str:
+    """The sweep CSV as one string; the CLI streams result.to_csv to its file."""
     buf = io.StringIO()
     result.to_csv(buf)
     return buf.getvalue()
 
 
-def sweep_text(result: SweepResult) -> str:
-    lines = [f"model={result.model} hardware={result.hardware}"]
-    header = (
+def sweep_text(result: SweepResult, out: TextIO) -> None:
+    """The sweep as a fixed-width table, one line per row, written ROW_BLOCK
+    lines at a time."""
+    out.write(
+        f"model={result.model} hardware={result.hardware}\n"
         f"{'kind':<15}{'phase':<9}{'batch':>6}{'context':>9}{'oi':>12}"
-        f"{'cf_bytes':>12}  {'class':<18}{'tok/s':>12}{'mfu':>8}{'mbu':>8}"
+        f"{'cf_bytes':>12}  {'class':<18}{'tok/s':>12}{'mfu':>8}{'mbu':>8}\n"
     )
-    lines.append(header)
-    for row in result.rows:
-        a = row.analysis
-        lines.append(
-            f"{row.row_kind:<15}{row.phase.value:<9}{row.batch_size:>6}"
-            f"{row.context_len:>9}{a.metrics.oi:>12.6g}{a.metrics.cf:>12.6g}"
-            f"  {a.bound_class.value:<18}{a.attainable_tokens_per_s:>12.6g}"
-            f"{a.mfu_est:>8.3g}{a.mbu_est:>8.3g}"
-        )
-    return "\n".join(lines) + "\n"
+    phases = {phase: f"{phase.value:<9}" for phase in Phase}
+    bounds = {bound: f"{bound.value:<18}" for bound in BoundClass}
+    rows = result.rows
+    for start in range(0, len(rows), ROW_BLOCK):
+        out.write("".join([
+            f"{kind:<15}{phases[phase]}{batch:>6}{length:>9}{oi:>12.6g}{cf:>12.6g}"
+            f"  {bounds[bound]}{rate:>12.6g}{mfu:>8.3g}{mbu:>8.3g}\n"
+            for (kind, phase, batch, length, ((oi, cf, _, _), bound, rate, mfu, mbu, _, _),
+                 _, _, _, _) in rows[start:start + ROW_BLOCK]
+        ]))
 
 
 def roofline_svg(
-    model: ModelSpec, hw: HardwareSpec, result: SweepResult, title: str
-) -> str:
+    model: ModelSpec, hw: HardwareSpec, result: SweepResult, title: str, out: TextIO
+) -> None:
     """Both roofline arms, the ridge point, and the swept points colored by
-    boundedness class. Per-device axes."""
+    boundedness class. Per-device axes. The points are written ROW_BLOCK at
+    a time between the frame and the legend."""
     bits = model.weight_bits
     peak = hw.peak_for(bits)
     bandwidth = hw.mem_bandwidth
     ridge = ridge_point(hw, bits)
-    ois = [row.analysis.metrics.oi for row in result.rows]
-    lo = min(ois + [ridge]) / 4
-    hi = max(ois + [ridge]) * 4
+    rows = result.rows
+    ois = [row.analysis.metrics.oi for row in rows]
+    lo = min(min(ois), ridge) / 4
+    hi = max(max(ois), ridge) * 4
 
     width, height = 640, 420
     x0, y0, x1, y1 = 70, 40, width - 170, height - 60
@@ -94,20 +100,24 @@ def roofline_svg(
     )
     canvas.circle(xs(ridge), ys(peak), 4, fill="#222")
     canvas.text(xs(ridge), ys(peak) - 8, f"ridge {fmt(ridge)}", size=10, anchor="middle")
+    canvas.write(out)
 
     # Each point sits on the roofline: attainable_flops with peak and
-    # bandwidth read once, outside the per-row loop.
-    for row in result.rows:
-        a = row.analysis
-        oi = a.metrics.oi
-        canvas.circle(xs(oi), ys(min(peak, oi * bandwidth)), 4,
-                      fill=CLASS_COLORS[a.bound_class], stroke="#333")
+    # bandwidth read once, outside the per-row loop. One f-string per point
+    # writes what canvas.circle(x, y, 4, fill=color, stroke="#333") would.
+    for start in range(0, len(rows), ROW_BLOCK):
+        out.write("".join([
+            f'<circle cx="{xs(oi):.6g}" cy="{ys(min(peak, oi * bandwidth)):.6g}" r="4" '
+            f'fill="{CLASS_COLORS[bound]}" stroke="#333"/>\n'
+            for (_, _, _, _, ((oi, _, _, _), bound, _, _, _, _, _), _, _, _, _)
+            in rows[start:start + ROW_BLOCK]
+        ]))
 
     legend_x, legend_y = x1 + 12, y0 + 10
     for i, bound in enumerate(BoundClass):
         canvas.circle(legend_x + 5, legend_y + 18 * i, 4, fill=CLASS_COLORS[bound])
         canvas.text(legend_x + 14, legend_y + 18 * i + 4, bound.value, size=9)
-    return canvas.to_svg()
+    canvas.write(out, end=True)
 
 
 def compare_attention_rows(

@@ -6,7 +6,7 @@ rendered with 6 significant digits so identical inputs give identical bytes.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, TextIO, Tuple
 
 
 def fmt(value: float) -> str:
@@ -29,6 +29,7 @@ class Canvas:
         self.width = width
         self.height = height
         self._parts: List[str] = []
+        self._started = False
 
     def rect(self, x, y, w, h, fill, stroke=None, opacity=None):
         attrs = f'x="{fmt(x)}" y="{fmt(y)}" width="{fmt(w)}" height="{fmt(h)}" fill="{fill}"'
@@ -69,13 +70,28 @@ class Canvas:
             f"{escape(content)}</text>"
         )
 
-    def to_svg(self) -> str:
-        head = (
+    def _head(self) -> str:
+        return (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">'
+            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
+            f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>\n'
         )
-        background = f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>'
-        return "\n".join([head, background, *self._parts, "</svg>"]) + "\n"
+
+    def to_svg(self) -> str:
+        return self._head() + "".join(f"{part}\n" for part in self._parts) + "</svg>\n"
+
+    def write(self, out: TextIO, end: bool = False) -> None:
+        """Stream the chart: the first call writes the <svg> head, every call
+        the parts drawn since the previous one (which are then dropped), and
+        the call with end=True the closing tag. Lines written straight to
+        `out` between two calls land between those parts."""
+        if not self._started:
+            out.write(self._head())
+            self._started = True
+        out.write("".join(f"{part}\n" for part in self._parts))
+        self._parts.clear()
+        if end:
+            out.write("</svg>\n")
 
 
 def escape(text: str) -> str:

@@ -162,6 +162,18 @@ class TestCommands:
                     "--grid", "B=1,L=4k", "--format", "csv", "--out", str(tmp_path)]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
+    def test_failing_renderer_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        def half_written(result, out):
+            out.write("model=partial\n")
+            raise RuntimeError("renderer failed mid-stream")
+
+        monkeypatch.setattr(reports, "sweep_text", half_written)
+        with pytest.raises(RuntimeError, match="mid-stream"):
+            run(["sweep", "--model", "dense-70b", "--hardware", "b200-sxm",
+                 "--grid", "B=1,L=4k", "--out", str(tmp_path)])
+        assert (tmp_path / "sweep.csv").exists()
+        assert not (tmp_path / "sweep.txt").exists()
+
 
 class TestFlags:
     """Every flag a command accepts takes effect; the others exit 2."""
@@ -239,6 +251,32 @@ class TestFlags:
         argv = [argv[0], "--model", "mha-48x2048", "--model", "gqa8-48x2048", *argv[1:]]
         with pytest.raises(ConfigError, match=named):
             run(argv + ["--out", str(tmp_path)])
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--batch", "0"], "--batch: batch_size must be >= 1, got 0"),
+        (["analyze", "--context", "0"], "--context: context_len must be >= 1, got 0"),
+        (["roofline-plot", "--context", "0"], "--context: context_len must be >= 1, got 0"),
+        (["roofline-plot", "--batch", "4,-2"], "--batch: batch_size must be >= 1, got -2"),
+        (["sweep", "--grid", "B=0,L=4k"], "--grid: batch_size must be >= 1, got 0"),
+        (["sweep", "--grid", "L=-5"], "--grid: context_len must be >= 1, got -5"),
+        (["compare-moe", "--context", "0"], "--context: context_len must be >= 1, got 0"),
+        (["compare-moe", "--batch", "0,16"], "--batch: batch_size must be >= 1, got 0"),
+        (["compare-attention", "--grid", "L=0,4k"], "--grid: context_len must be >= 1, got 0"),
+        (["compare-attention", "--batch", "0"], "--batch: batch_size must be >= 1, got 0"),
+    ])
+    def test_values_below_one_name_the_flag(self, argv, message, tmp_path, capsys,
+                                            monkeypatch):
+        if argv[0].startswith("compare"):
+            models = ["--model", "dense-70b", "--model", "moe-256e"]
+        else:
+            models = ["--model", "dense-70b", "--hardware", "b200-sxm"]
+        monkeypatch.setattr(sys, "argv", ["caproof", argv[0], *models, *argv[1:],
+                                          "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.iterdir())
 
     def test_compare_sorts_and_dedupes_grid_values(self, tmp_path):

@@ -114,38 +114,49 @@ _PHASES = {
 _EXTENSIONS = {"csv": "csv", "svg": "svg", "text": "txt"}
 
 
+def _flag(flag: str, read, *values):
+    """read(*values), a ConfigError it raises prefixed with the flag: "--batch: ..."."""
+    try:
+        return read(*values)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _single_model(args):
     if len(args.model) != 1:
         raise ConfigError("this command takes exactly one --model")
     return resolve_config(args.model[0], "model", args.allow_unknown_keys)
 
 
-def _compared_models(args):
-    models = [resolve_config(ref, "model", args.allow_unknown_keys) for ref in args.model]
-    if len(models) < 2:
-        raise ConfigError(f"{args.command} needs at least two --model entries")
-    names = [spec.name for spec in models]
+def _resolve_distinct(args, kind: str, refs: Sequence[str]) -> list:
+    """The specs of the --<kind> references; a preset and its path share a name."""
+    specs = [resolve_config(ref, kind, args.allow_unknown_keys) for ref in refs]
+    names = [spec.name for spec in specs]
     for name in names:
         if names.count(name) > 1:
-            raise ConfigError(f"{args.command} needs distinct model names; "
-                              f"'{name}' names more than one --model")
+            raise ConfigError(f"--{kind}: '{name}' is given more than once")
+    return specs
+
+
+def _compared_models(args):
+    models = _resolve_distinct(args, "model", args.model)
+    if len(models) < 2:
+        raise ConfigError(f"{args.command} needs at least two --model entries")
     return models
 
 
-def _at_least_one(values: List[int], flag: str, field: str) -> List[int]:
-    """The values, checked before any artifact is written; the error names
-    the flag and the field it sets."""
+def _at_least_one(values: List[int], field: str) -> List[int]:
+    """The values, checked before any artifact is written: at least one, each >= 1."""
+    if not values:
+        raise ConfigError("needs at least one value")
     if min(values) < 1:
-        raise ConfigError(f"{flag}: {field} must be >= 1, got {min(values)}")
+        raise ConfigError(f"{field} must be >= 1, got {min(values)}")
     return values
 
 
-def _int_list(text: Optional[str], flag: str, default: str, field: str) -> List[int]:
+def _int_list(text: Optional[str], default: str, field: str) -> List[int]:
     """The values of a comma-list flag, or its default when it was not given."""
-    values = parse_int_list(default if text is None else text)
-    if not values:
-        raise ConfigError(f"{flag} needs at least one value, got '{text}'")
-    return _at_least_one(values, flag, field)
+    return _at_least_one(parse_int_list(default if text is None else text), field)
 
 
 def _reject_with_workload(args, *flags: str) -> None:
@@ -178,8 +189,8 @@ def _sweep_report(args, workload_ref, batches=(), contexts=()) -> reports.Report
 
 
 def _analyze(args) -> reports.Report:
-    return _sweep_report(args, None, _int_list(args.batch, "--batch", "1", "batch_size"),
-                         _int_list(args.context, "--context", "4096", "context_len"))
+    return _sweep_report(args, None, _flag("--batch", _int_list, args.batch, "1", "batch_size"),
+                         _flag("--context", _int_list, args.context, "4096", "context_len"))
 
 
 def _roofline_plot(args) -> reports.Report:
@@ -195,36 +206,42 @@ def _sweep(args) -> reports.Report:
     if args.workload is not None:
         _reject_with_workload(args, "phase")
         return _sweep_report(args, args.workload)
-    grid = parse_grid(args.grid)
-    return _sweep_report(args, None, _at_least_one(grid.get("B", [1]), "--grid", "batch_size"),
-                         _at_least_one(grid.get("L", [4096]), "--grid", "context_len"))
+    grid = _flag("--grid", parse_grid, args.grid)
+    batches = _flag("--grid", _at_least_one, grid.get("B", [1]), "batch_size")
+    contexts = _flag("--grid", _at_least_one, grid.get("L", [4096]), "context_len")
+    return _sweep_report(args, None, batches, contexts)
 
 
-def _compare_attention(args) -> reports.Report:
-    _at_least_one([args.batch], "--batch", "batch_size")
-    models = _compared_models(args)
-    grid = parse_grid(args.grid)
+def _context_axis(text: str) -> List[int]:
+    """compare-attention's --grid: sorted distinct L values, two at least. A
+    grid without B holds L, since parse_grid rejects an empty grid."""
+    grid = parse_grid(text)
     if "B" in grid:
         raise ConfigError("compare-attention takes one batch size from --batch, "
                           "not a B grid dimension")
-    if "L" not in grid:
-        raise ConfigError("compare-attention grid must define the L dimension")
-    lengths = sorted(set(_at_least_one(grid["L"], "--grid", "context_len")))
+    lengths = sorted(set(_at_least_one(grid["L"], "context_len")))
     if len(lengths) < 2:
         raise ConfigError("compare-attention grid needs at least two distinct L values "
                           "for its log axis")
+    return lengths
+
+
+def _compare_attention(args) -> reports.Report:
+    _flag("--batch", _at_least_one, [args.batch], "batch_size")
+    models = _compared_models(args)
+    lengths = _flag("--grid", _context_axis, args.grid)
     rows = reports.compare_attention_rows(models, lengths, args.batch)
     return reports.Report(
-        csv=lambda out: out.write(reports.compare_attention_csv(models, rows)),
+        csv=lambda out: out.write(reports.compare_attention_csv(rows)),
         text=lambda out: out.write(reports.compare_attention_text(models, rows, args.batch)),
         svg=lambda out: out.write(reports.compare_attention_svg(models, rows, args.batch)),
     )
 
 
 def _compare_moe(args) -> reports.Report:
-    _at_least_one([args.context], "--context", "context_len")
+    _flag("--context", _at_least_one, [args.context], "context_len")
     models = _compared_models(args)
-    batches = sorted(set(_int_list(args.batch, "--batch", "1,16", "batch_size")))
+    batches = sorted(set(_flag("--batch", _int_list, args.batch, "1,16", "batch_size")))
     rows = reports.compare_moe_rows(models, batches, args.context, args.include_activations)
     return reports.Report(
         csv=lambda out: out.write(reports.compare_moe_csv(rows)),
@@ -236,8 +253,7 @@ def _compare_moe(args) -> reports.Report:
 def _agent_profile(args) -> reports.Report:
     model = _single_model(args)
     hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
-    refs = args.workload or list_catalog("workload")
-    workloads = [resolve_config(ref, "workload", args.allow_unknown_keys) for ref in refs]
+    workloads = _resolve_distinct(args, "workload", args.workload or list_catalog("workload"))
     rows = reports.agent_profile_rows(model, hw, workloads, args.include_activations,
                                       args.replicate_weights)
     return reports.Report(
@@ -318,14 +334,17 @@ def _write_artifacts(out_dir: str, command: str, formats: Sequence[str],
     """Open each selected format's file in turn and hand it to the report's
     renderer, which writes the artifact into it (a sweep artifact in row
     blocks). A renderer that raises leaves no file for its format; the
-    artifacts written before it stay."""
+    artifacts written before it stay. An unusable --out is a ConfigError."""
     directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
     written = []
     for fmt, extension in _EXTENSIONS.items():
         if fmt in formats:
             path = directory / f"{command}.{extension}"
-            out = open(path, "w", encoding="utf-8")
+            try:  # the first artifact makes the directory
+                directory.mkdir(parents=True, exist_ok=True)
+                out = open(path, "w", encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"--out: {exc.strerror}: '{exc.filename}'") from None
             try:
                 with out:
                     getattr(report, fmt)(out)
@@ -336,8 +355,8 @@ def _write_artifacts(out_dir: str, command: str, formats: Sequence[str],
     return written
 
 
-def _formats(args) -> List[str]:
-    formats = [f.strip() for f in args.format.split(",") if f.strip()]
+def _formats(text: str) -> List[str]:
+    formats = [f.strip() for f in text.split(",") if f.strip()]
     bad = [f for f in formats if f not in _EXTENSIONS]
     if bad:
         raise ConfigError(f"unknown output format '{bad[0]}' (use csv, svg, text)")
@@ -348,7 +367,7 @@ def _formats(args) -> List[str]:
 
 def run(argv: Sequence[str]) -> int:
     args = build_parser().parse_args(argv)
-    formats = _formats(args)
+    formats = _flag("--format", _formats, args.format)
     report = COMMANDS[args.command][1](args)
     _write_artifacts(args.out, args.command, formats, report)
     # Only commands that offer --strict build a report that can be exceeded.

@@ -141,7 +141,7 @@ def load_config(path: Union[str, Path], allow_unknown: bool = False) -> Spec:
         _fail(source, "no such config file")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         _fail(source, f"invalid JSON: {exc}")
     return parse_config(data, source, allow_unknown)
 

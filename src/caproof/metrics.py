@@ -56,8 +56,8 @@ def oi_matmul_bytes(m: int, d: int, length: int, element_bits: int) -> float:
 def _metrics(costs: ModelCosts, phase: Phase, length: int, batch: int,
              include_activations: bool) -> Tuple[float, float, float, float]:
     """(oi, cf, flops_per_token, bytes_per_token) at context length L and
-    batch B, from the spec's costs. The one formula behind cf_request,
-    decode_metrics, prefill_metrics and analysis.classify, which reads the
+    batch B, from the spec's costs. The one formula behind cf_request, the
+    three *_metrics functions and analysis.classify, which reads the
     point and its largest per-device batch from it; arguments are not
     validated here. Decode FLOPs equal model.flops_per_token at L."""
     kv = costs.kv_bits / 8
@@ -114,6 +114,5 @@ def prefill_metrics(
 def phase_metrics(
     spec: ModelSpec, point: OperatingPoint, include_activations: bool = False
 ) -> PhaseMetrics:
-    if point.phase is Phase.PREFILL:
-        return prefill_metrics(spec, point, include_activations)
-    return decode_metrics(spec, point, include_activations)
+    return PhaseMetrics(*_metrics(spec.costs, point.phase, point.context_len,
+                                  point.batch_size, include_activations))

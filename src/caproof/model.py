@@ -238,10 +238,6 @@ def activated_params(spec: ModelSpec) -> int:
     return embedding_params(spec) + spec.num_layers * per_layer + head
 
 
-def weight_bits_total(spec: ModelSpec) -> int:
-    return spec.costs.weight_bits
-
-
 def weight_bytes(spec: ModelSpec) -> float:
     return spec.costs.weight_bits / 8
 

@@ -13,12 +13,12 @@ import io
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, TextIO
 
-from .analysis import ROW_BLOCK, BoundClass, SweepResult, classify, write_csv
+from .analysis import ROW_BLOCK, BoundClass, SweepResult, sweep_workload, write_csv
 from .hardware import HardwareSpec, ridge_point
-from .metrics import OperatingPoint, decode_metrics
+from .metrics import OperatingPoint, cf_request, decode_metrics
 from .model import ModelSpec, Phase, kv_bytes_per_token, weight_bytes
 from .svg import Canvas, LogScale, draw_frame, fmt, si
-from .workload import WorkloadSpec, expand, total_tokens
+from .workload import WorkloadSpec
 
 CLASS_COLORS = {
     BoundClass.COMPUTE_BOUND: "#3182ce",
@@ -126,24 +126,23 @@ def compare_attention_rows(
     rows = []
     for length in context_lens:
         row: Dict[str, float] = {"context_len": length}
+        point = OperatingPoint(length, batch_size, Phase.DECODE)
         for spec in models:
-            kv = row[f"{spec.name}_kv_bytes"] = kv_bytes_per_token(spec) * length
-            row[f"{spec.name}_cf_bytes"] = kv + weight_bytes(spec) / batch_size
+            row[f"{spec.name}_kv_bytes"] = kv_bytes_per_token(spec) * length
+            row[f"{spec.name}_cf_bytes"] = cf_request(spec, point)
         rows.append(row)
     return rows
 
 
-def _csv_table(columns: Sequence[str], rows: List[Dict[str, object]]) -> str:
+def _csv_table(rows: List[Dict[str, object]]) -> str:
+    """The rows as CSV; the header is the first row's keys, in insertion order."""
     buf = io.StringIO()
-    write_csv(buf, columns, (tuple(row[c] for c in columns) for row in rows))
+    write_csv(buf, list(rows[0]), (row.values() for row in rows))
     return buf.getvalue()
 
 
-def compare_attention_csv(models: Sequence[ModelSpec], rows: List[Dict[str, float]]) -> str:
-    columns = ["context_len"]
-    for spec in models:
-        columns += [f"{spec.name}_kv_bytes", f"{spec.name}_cf_bytes"]
-    return _csv_table(columns, rows)
+def compare_attention_csv(rows: List[Dict[str, float]]) -> str:
+    return _csv_table(rows)
 
 
 def compare_attention_text(
@@ -207,11 +206,7 @@ def compare_moe_rows(
 
 
 def compare_moe_csv(rows: List[Dict[str, object]]) -> str:
-    return _csv_table(
-        ["model", "batch_size", "context_len",
-         "weight_floor_bytes", "kv_bytes", "cf_bytes", "decode_oi"],
-        rows,
-    )
+    return _csv_table(rows)
 
 
 def compare_moe_text(rows: List[Dict[str, object]], context_len: int) -> str:
@@ -232,7 +227,7 @@ def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
     canvas = Canvas(width, height)
     mid = width // 2
     x0, y0, x1, y1 = 70, 40, mid - 30, height - 90
-    cf_values = [row["weight_floor_bytes"] + row["kv_bytes"] for row in rows]
+    cf_values = [row["cf_bytes"] for row in rows]
     floor_values = [row["weight_floor_bytes"] for row in rows]
     ys = LogScale(min(floor_values) / 2, max(cf_values) * 2, y1, y0)
     draw_frame(canvas, x0, y0, x1, y1, title=f"footprint per request at context {si(context_len)}",
@@ -242,7 +237,7 @@ def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
         bar_x = x0 + slot * i + slot * 0.2
         bar_w = slot * 0.6
         # full bar up to CF in the KV color, weight floor shaded over it
-        cf_top = ys(row["weight_floor_bytes"] + row["kv_bytes"])
+        cf_top = ys(row["cf_bytes"])
         canvas.rect(bar_x, cf_top, bar_w, y1 - cf_top, fill="#3182ce")
         floor_top = ys(row["weight_floor_bytes"])
         canvas.rect(bar_x, floor_top, bar_w, y1 - floor_top, fill="#a0aec0", opacity=0.9)
@@ -275,43 +270,33 @@ def agent_profile_rows(
     include_activations: bool = False,
     replicate_weights: bool = False,
 ) -> List[Dict[str, object]]:
-    flags = (include_activations, replicate_weights)
+    """One row per workload: its token totals and the two workload_total rows
+    of sweep_workload, which classify both phases at the final context."""
     rows: List[Dict[str, object]] = []
     for workload in workloads:
-        trace = expand(workload)
-        if trace.final_context < 1:
-            raise ValueError(f"workload '{workload.name}' expands to zero tokens")
-        prefill_total, decode_total = total_tokens(trace)
-        final = trace.final_context
-        batch = workload.batch_size
-        prefill = classify(model, hw, OperatingPoint(final, batch, Phase.PREFILL), *flags)
-        decode = classify(model, hw, OperatingPoint(final, batch, Phase.DECODE), *flags)
+        prefill, decode = sweep_workload(model, hw, workload, include_activations,
+                                         replicate_weights).rows[-2:]
         rows.append(
             {
                 "workload": workload.name,
                 "turns": workload.turns,
-                "batch_size": batch,
-                "prefill_total_tokens": prefill_total,
-                "decode_total_tokens": decode_total,
-                "final_context": final,
-                "cf_bytes": decode.metrics.cf,
-                "prefill_oi": prefill.metrics.oi,
-                "decode_oi": decode.metrics.oi,
-                "prefill_class": prefill.bound_class.value,
-                "decode_class": decode.bound_class.value,
-                "min_devices_decode": decode.min_devices,
+                "batch_size": decode.batch_size,
+                "prefill_total_tokens": decode.prefill_total_tokens,
+                "decode_total_tokens": decode.decode_total_tokens,
+                "final_context": decode.context_len,
+                "cf_bytes": decode.analysis.metrics.cf,
+                "prefill_oi": prefill.analysis.metrics.oi,
+                "decode_oi": decode.analysis.metrics.oi,
+                "prefill_class": prefill.analysis.bound_class.value,
+                "decode_class": decode.analysis.bound_class.value,
+                "min_devices_decode": decode.analysis.min_devices,
             }
         )
     return rows
 
 
 def agent_profile_csv(rows: List[Dict[str, object]]) -> str:
-    return _csv_table(
-        ["workload", "turns", "batch_size", "prefill_total_tokens", "decode_total_tokens",
-         "final_context", "cf_bytes", "prefill_oi", "decode_oi",
-         "prefill_class", "decode_class", "min_devices_decode"],
-        rows,
-    )
+    return _csv_table(rows)
 
 
 def agent_profile_text(rows: List[Dict[str, object]], model: ModelSpec, hw: HardwareSpec) -> str:

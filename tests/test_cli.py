@@ -2,15 +2,20 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import caproof
 from caproof import reports
 from caproof.analysis import classify
 from caproof.cli import main, parse_grid, parse_int_list, parse_scalar, run
 from caproof.config import ConfigError, resolve_config
 from caproof.metrics import OperatingPoint, decode_metrics
 from caproof.model import Phase
+
+CODING_AGENT_PATH = str(Path(caproof.__file__).parent / "catalog" / "workloads"
+                        / "coding-agent.json")
 
 
 class TestGridParsing:
@@ -264,6 +269,22 @@ class TestFlags:
         (["compare-moe", "--batch", "0,16"], "--batch: batch_size must be >= 1, got 0"),
         (["compare-attention", "--grid", "L=0,4k"], "--grid: context_len must be >= 1, got 0"),
         (["compare-attention", "--batch", "0"], "--batch: batch_size must be >= 1, got 0"),
+        (["analyze", "--batch", "b"], "--batch: not an integer: 'b'"),
+        (["analyze", "--context", "x"], "--context: not an integer: 'x'"),
+        (["compare-moe", "--batch", "1,b"], "--batch: not an integer: 'b'"),
+        (["sweep", "--grid", "B=,L=4k"], "--grid: not an integer: ''"),
+        (["sweep", "--grid", "L=4k..1k"], "--grid: bad range '4k..1k': need 1 <= start <= stop"),
+        (["sweep", "--grid", "X=1"], "--grid: unknown grid dimension 'X' (use B and L)"),
+        (["analyze", "--format", "x"],
+         "--format: unknown output format 'x' (use csv, svg, text)"),
+        (["analyze", "--format", ","], "--format: at least one output format is required"),
+        (["compare-attention", "--grid", ""], "--grid: empty grid"),
+        (["compare-attention", "--grid", "L=4k"], "--grid: compare-attention grid needs at "
+                                                  "least two distinct L values for its log axis"),
+        (["agent-profile", "--workload", "coding-agent", "--workload", "coding-agent"],
+         "--workload: 'coding-agent' is given more than once"),
+        (["agent-profile", "--workload", "coding-agent", "--workload", CODING_AGENT_PATH],
+         "--workload: 'coding-agent' is given more than once"),
     ])
     def test_values_below_one_name_the_flag(self, argv, message, tmp_path, capsys,
                                             monkeypatch):
@@ -328,6 +349,28 @@ class TestProcessLevel:
                               "unit-device", "--out", str(tmp_path))
         assert result.returncode == 2
         assert "mystery" in result.stderr
+
+    @pytest.mark.parametrize("out, named", [
+        ("file", "File exists: '{tmp}/file'"),
+        ("file/sub", "Not a directory: '{tmp}/file/sub'"),
+        ("dir", "Is a directory: '{tmp}/dir/analyze.txt'"),
+    ])
+    def test_unusable_out_exits_2_and_names_it(self, tmp_path, out, named):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir" / "analyze.txt").mkdir(parents=True)
+        result = self.run_cli("analyze", "--model", "mha-48x2048", "--hardware",
+                              "unit-device", "--out", str(tmp_path / out))
+        assert result.returncode == 2
+        assert result.stderr == f"error: --out: {named.format(tmp=tmp_path)}\n"
+
+    def test_undecodable_config_exits_2_and_names_it(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"type": "model", "name": "caf\xe9"}')
+        result = self.run_cli("analyze", "--model", str(bad), "--hardware",
+                              "unit-device", "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {bad}: invalid JSON: 'utf-8' codec")
+        assert not (tmp_path / "out").exists()
 
     def test_success_exit_0(self, tmp_path):
         result = self.run_cli("analyze", "--model", "mha-48x2048", "--hardware",

@@ -1,18 +1,22 @@
 """The sweep renderers stream their artifact: the bytes equal the csv module's
 (and the one-string table's), and no single write holds more than a block of
-rows."""
+rows. The chart reports, which read the analysis core, equal their tables as
+built from classify and the token totals with hand-kept column lists."""
 
 import io
+import itertools
 import random
 
 import pytest
 
 from caproof import reports
-from caproof.analysis import CSV_COLUMNS, SweepResult, sweep_grid, sweep_workload, write_csv
-from caproof.config import resolve_config
+from caproof.analysis import (CSV_COLUMNS, SweepResult, classify, sweep_grid, sweep_workload,
+                              write_csv)
+from caproof.config import list_catalog, resolve_config
 from caproof.hardware import HardwareSpec
-from caproof.model import weight_bytes
-from caproof.workload import WorkloadSpec
+from caproof.metrics import OperatingPoint
+from caproof.model import Phase, kv_bytes_per_token, weight_bytes
+from caproof.workload import WorkloadSpec, expand, total_tokens
 from oracles import random_model
 
 ODD_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rreturn", "  padded  ", "", '""', "plain"]
@@ -141,3 +145,81 @@ class TestBoundedWrites:
             assert text.startswith("<svg ") and text.endswith("</svg>\n")
             assert text.count("<circle") == len(result.rows) + 1 + 4  # ridge and legend
 
+
+
+AGENT_PROFILE_COLUMNS = [
+    "workload", "turns", "batch_size", "prefill_total_tokens", "decode_total_tokens",
+    "final_context", "cf_bytes", "prefill_oi", "decode_oi",
+    "prefill_class", "decode_class", "min_devices_decode",
+]
+COMPARE_MOE_COLUMNS = [
+    "model", "batch_size", "context_len", "weight_floor_bytes", "kv_bytes", "cf_bytes",
+    "decode_oi",
+]
+FLAG_COMBINATIONS = list(itertools.product([False, True], repeat=2))
+
+
+def explicit_csv(columns, rows) -> str:
+    buf = io.StringIO()
+    write_csv(buf, columns, ([row[c] for c in columns] for row in rows))
+    return buf.getvalue()
+
+
+def reference_agent_profile_row(model, hw, workload, flags):
+    """One agent-profile row as classify at the final context and the trace's
+    token totals give it."""
+    trace = expand(workload)
+    prefill_total, decode_total = total_tokens(trace)
+    final, batch = trace.final_context, workload.batch_size
+    prefill = classify(model, hw, OperatingPoint(final, batch, Phase.PREFILL), *flags)
+    decode = classify(model, hw, OperatingPoint(final, batch, Phase.DECODE), *flags)
+    values = [workload.name, workload.turns, batch, prefill_total, decode_total, final,
+              decode.metrics.cf, prefill.metrics.oi, decode.metrics.oi,
+              prefill.bound_class.value, decode.bound_class.value, decode.min_devices]
+    return dict(zip(AGENT_PROFILE_COLUMNS, values))
+
+
+class TestChartReportsReadTheCore:
+    def test_agent_profile_equals_classify_at_final_context(self):
+        rng = random.Random(23)
+        workloads = [resolve_config(name, "workload") for name in list_catalog("workload")]
+        for _ in range(12):
+            model = random_model(rng)
+            hw = random_hardware(rng, model)
+            for flags in FLAG_COMBINATIONS:
+                rows = reports.agent_profile_rows(model, hw, workloads, *flags)
+                expected = [reference_agent_profile_row(model, hw, w, flags) for w in workloads]
+                assert rows == expected
+                assert [list(row) for row in rows] == [AGENT_PROFILE_COLUMNS] * len(rows)
+                assert reports.agent_profile_csv(rows) == explicit_csv(AGENT_PROFILE_COLUMNS,
+                                                                       expected)
+
+    def test_compare_attention_csv_equals_kv_plus_amortized_weights(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            models = [random_model(rng) for _ in range(rng.randint(2, 4))]
+            lengths = sorted({rng.randint(1, 2_000_000) for _ in range(rng.randint(2, 8))})
+            batch = rng.randint(1, 512)
+            columns = ["context_len"]
+            expected = []
+            for length in lengths:
+                row = {"context_len": length}
+                for spec in models:
+                    kv = row[f"{spec.name}_kv_bytes"] = kv_bytes_per_token(spec) * length
+                    row[f"{spec.name}_cf_bytes"] = kv + weight_bytes(spec) / batch
+                expected.append(row)
+            for spec in models:
+                columns += [f"{spec.name}_kv_bytes", f"{spec.name}_cf_bytes"]
+            rows = reports.compare_attention_rows(models, lengths, batch)
+            assert reports.compare_attention_csv(rows) == explicit_csv(columns, expected)
+
+    def test_compare_moe_csv_and_footprint_bars(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            models = [random_model(rng) for _ in range(rng.randint(2, 4))]
+            batches = sorted({rng.randint(1, 512) for _ in range(rng.randint(1, 4))})
+            rows = reports.compare_moe_rows(models, batches, rng.randint(1, 2_000_000),
+                                            include_activations=rng.random() < 0.5)
+            assert reports.compare_moe_csv(rows) == explicit_csv(COMPARE_MOE_COLUMNS, rows)
+            for row in rows:  # the SVG bar reads cf_bytes where it added floor and KV
+                assert row["cf_bytes"] == row["weight_floor_bytes"] + row["kv_bytes"]

@@ -124,8 +124,9 @@ def classify(
     ridge = ridge_point(hw, bits)
     costs = spec.costs
     length, phase = point.context_len, point.phase
+    flops = float(costs.token_flops(phase, length))
     metrics = PhaseMetrics(*_metrics(costs, phase, length, point.batch_size,
-                                     include_activations))
+                                     include_activations, flops))
     weights = costs.weight_bits
     kv_bits = costs.kv_bits * length
     cap_dev = _device_capacity_bits(hw)
@@ -144,7 +145,8 @@ def classify(
         flops_rate = peak
     else:
         per_device_batch = (cap_dev - weights) // kv_bits
-        best_oi = _metrics(costs, phase, length, per_device_batch, include_activations)[0]
+        best_oi = _metrics(costs, phase, length, per_device_batch, include_activations,
+                           flops)[0]
         if best_oi >= ridge:
             bound = BoundClass.BANDWIDTH_BOUND
             mfu, mbu = metrics.oi / ridge, 1.0
@@ -207,6 +209,21 @@ class _QuotedCells(dict):
         return cell
 
 
+class FormattedCells(dict):
+    """format(value, spec) of each distinct value, computed once per
+    renderer call: on a grid a length, FLOP count, rate or ratio repeats down
+    its column. One instance holds values of one type, since equal keys
+    share a cell and 1 == 1.0."""
+
+    def __init__(self, spec: str = ""):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, value) -> str:
+        cell = self[value] = format(value, self.spec)
+        return cell
+
+
 @dataclass(frozen=True)
 class SweepResult:
     model: str
@@ -218,8 +235,12 @@ class SweepResult:
         byte-identical to write_csv. Each row is formatted as one line and
         the lines are written ROW_BLOCK at a time, so the CSV is never held
         whole: floats with repr, ints with str, None as an empty cell, and
-        each distinct string cell quoted once by the csv module."""
+        each distinct string cell quoted once by the csv module. The columns
+        whose values repeat down a grid column are formatted once per
+        distinct value (format with an empty spec is str, and a float's str
+        is its repr)."""
         quoted = _QuotedCells()
+        ints, floats = FormattedCells(), FormattedCells()
         phases = {phase: quoted[phase.value] for phase in Phase}
         bounds = {bound: quoted[bound.value] for bound in BoundClass}
         out.write(",".join(CSV_COLUMNS) + "\n")
@@ -227,8 +248,9 @@ class SweepResult:
         for start in range(0, len(rows), ROW_BLOCK):
             out.write("".join([
                 f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
-                f"{phases[phase]},{batch},{length},{oi!r},{cf!r},{flops!r},{nbytes!r},"
-                f"{bounds[bound]},{rate!r},{mfu!r},{mbu!r},{feasible},{devices},"
+                f"{phases[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"
+                f"{nbytes!r},{bounds[bound]},{floats[rate]},{floats[mfu]},{floats[mbu]},"
+                f"{ints[feasible]},{devices},"
                 f"{'' if prefill_total is None else prefill_total},"
                 f"{'' if decode_total is None else decode_total}\n"
                 for (kind, phase, batch, length,
@@ -256,19 +278,57 @@ def sweep_grid(
     include_activations: bool = False,
     replicate_weights: bool = False,
 ) -> SweepResult:
-    """One PhaseAnalysis per (phase, batch, context) grid point."""
+    """One PhaseAnalysis per (phase, batch, context) grid point, in phase ->
+    batch -> context order, each equal to classify's at that point.
+
+    classify runs once per (phase, L) column, at the smallest batch: whether
+    one request fits and whether some per-device-feasible batch reaches the
+    ridge depend on L alone, and OI never falls as the batch grows (weight
+    bytes per token are W/B + c). So a larger batch of the column is
+    capacity-exceeded with its head; else compute-bound once its own OI
+    reaches the ridge; else of the head's class, bandwidth-bound with its own
+    mfu or capacity-limited with the head's rate, mfu and mbu. Each field is
+    classify's expression at that batch, and no OperatingPoint is built for
+    it.
+    """
     if not batch_sizes or not context_lens:
         raise ValueError("sweep grid must be non-empty")
     wanted = set(phases)
     batches, lengths = sorted(set(batch_sizes)), sorted(set(context_lens))
     flags = (include_activations, replicate_weights)
-    rows = [
-        SweepRow("point", phase, batch, length,
-                 classify(spec, hw, OperatingPoint(length, batch, phase), *flags))
-        for phase in (Phase.PREFILL, Phase.DECODE) if phase in wanted
-        for batch in batches
-        for length in lengths
-    ]
+    costs = spec.costs
+    ridge = ridge_point(hw, spec.weight_bits)
+    peak, bandwidth, num_devices = hw.peak_for(spec.weight_bits), hw.mem_bandwidth, hw.num_devices
+    weights, cap_dev = costs.weight_bits, _device_capacity_bits(hw)
+    rows = []
+    for phase in (Phase.PREFILL, Phase.DECODE):
+        if phase not in wanted:
+            continue
+        columns = []
+        for length in lengths:
+            head = classify(spec, hw, OperatingPoint(length, batches[0], phase), *flags)
+            rows.append(SweepRow("point", phase, batches[0], length, head))
+            flops = head.metrics.flops_per_token
+            columns.append((length, costs.kv_bits * length, flops, peak / flops * num_devices,
+                            *head[1:6]))
+        for batch in batches[1:]:
+            for (length, kv_bits, flops, compute_rate,
+                 bound, rate, mfu, mbu, feasible) in columns:
+                metrics = PhaseMetrics(*_metrics(costs, phase, length, batch,
+                                                 include_activations, flops))
+                oi = metrics.oi
+                devices = _device_count(weights, kv_bits, cap_dev, batch, replicate_weights)
+                if bound is BoundClass.CAPACITY_EXCEEDED:
+                    analysis = PhaseAnalysis(metrics, bound, 0.0, 0.0, 0.0, feasible, devices)
+                elif oi >= ridge:
+                    analysis = PhaseAnalysis(metrics, BoundClass.COMPUTE_BOUND, compute_rate,
+                                             1.0, ridge / oi, feasible, devices)
+                elif bound is BoundClass.BANDWIDTH_BOUND:
+                    analysis = PhaseAnalysis(metrics, bound, oi * bandwidth / flops * num_devices,
+                                             oi / ridge, 1.0, feasible, devices)
+                else:  # the head is below the ridge too, so capacity-limited
+                    analysis = PhaseAnalysis(metrics, bound, rate, mfu, mbu, feasible, devices)
+                rows.append(SweepRow("point", phase, batch, length, analysis))
     return SweepResult(model=spec.name, hardware=hw.name, rows=tuple(rows))
 
 

@@ -12,7 +12,9 @@ capacity-exceeded point under --strict).
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -329,29 +331,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_artifacts(out_dir: str, command: str, formats: Sequence[str],
-                     report: reports.Report) -> List[Path]:
-    """Open each selected format's file in turn and hand it to the report's
-    renderer, which writes the artifact into it (a sweep artifact in row
-    blocks). A renderer that raises leaves no file for its format; the
-    artifacts written before it stay. An unusable --out is a ConfigError."""
+def _artifact_paths(out_dir: str, command: str, formats: Sequence[str]) -> Dict[str, Path]:
+    """Each selected format's artifact path under --out, checked before the
+    command runs, so that an unusable --out costs no analysis: --out, or
+    else its nearest existing ancestor, must be a directory, and no artifact
+    path may be one. The check makes nothing; the directory is made with the
+    first artifact, so a command that fails leaves no --out behind. An
+    unusable --out is a ConfigError."""
     directory = Path(out_dir)
+    paths = {fmt: directory / f"{command}.{extension}"
+             for fmt, extension in _EXTENSIONS.items() if fmt in formats}
+    existing = next(path for path in (directory, *directory.parents) if path.exists())
+    if not existing.is_dir():  # what mkdir would meet
+        code = errno.EEXIST if existing == directory else errno.ENOTDIR
+        raise ConfigError(f"--out: {os.strerror(code)}: '{directory}'")
+    for path in paths.values():
+        if path.is_dir():
+            raise ConfigError(f"--out: {os.strerror(errno.EISDIR)}: '{path}'")
+    return paths
+
+
+def _write_artifacts(paths: Dict[str, Path], report: reports.Report) -> List[Path]:
+    """Open each format's artifact path in turn and hand the file to the
+    report's renderer for that format, which writes the artifact into it (a
+    sweep artifact in row blocks). A renderer that raises leaves no file for
+    its format; the artifacts written before it stay. A path that still
+    cannot be opened is a ConfigError naming --out."""
     written = []
-    for fmt, extension in _EXTENSIONS.items():
-        if fmt in formats:
-            path = directory / f"{command}.{extension}"
-            try:  # the first artifact makes the directory
-                directory.mkdir(parents=True, exist_ok=True)
-                out = open(path, "w", encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"--out: {exc.strerror}: '{exc.filename}'") from None
-            try:
-                with out:
-                    getattr(report, fmt)(out)
-            except BaseException:
-                path.unlink(missing_ok=True)
-                raise
-            written.append(path)
+    for fmt, path in paths.items():
+        try:  # the first artifact makes the directory
+            path.parent.mkdir(parents=True, exist_ok=True)
+            out = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc.strerror}: '{exc.filename}'") from None
+        try:
+            with out:
+                getattr(report, fmt)(out)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
+        written.append(path)
     return written
 
 
@@ -367,9 +386,9 @@ def _formats(text: str) -> List[str]:
 
 def run(argv: Sequence[str]) -> int:
     args = build_parser().parse_args(argv)
-    formats = _flag("--format", _formats, args.format)
+    paths = _artifact_paths(args.out, args.command, _flag("--format", _formats, args.format))
     report = COMMANDS[args.command][1](args)
-    _write_artifacts(args.out, args.command, formats, report)
+    _write_artifacts(paths, report)
     # Only commands that offer --strict build a report that can be exceeded.
     if report.exceeded and args.strict:
         print("capacity_exceeded point encountered (--strict)", file=sys.stderr)

@@ -10,7 +10,7 @@ denominator, so both conventions are available.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .model import ModelCosts, ModelSpec, Phase
 
@@ -54,23 +54,25 @@ def oi_matmul_bytes(m: int, d: int, length: int, element_bits: int) -> float:
 
 
 def _metrics(costs: ModelCosts, phase: Phase, length: int, batch: int,
-             include_activations: bool) -> Tuple[float, float, float, float]:
+             include_activations: bool,
+             flops: Optional[float] = None) -> Tuple[float, float, float, float]:
     """(oi, cf, flops_per_token, bytes_per_token) at context length L and
     batch B, from the spec's costs. The one formula behind cf_request, the
-    three *_metrics functions and analysis.classify, which reads the
-    point and its largest per-device batch from it; arguments are not
-    validated here. Decode FLOPs equal model.flops_per_token at L."""
+    three *_metrics functions and analysis.classify and sweep_grid, which
+    read a point and its largest per-device batch from it; arguments are not
+    validated here. flops is float(costs.token_flops(phase, L)); a caller
+    that evaluates one L at many batches passes it, read once per L."""
+    if flops is None:
+        flops = float(costs.token_flops(phase, length))
     kv = costs.kv_bits / 8
     if phase is Phase.PREFILL:
         bytes_per_tok = costs.weight_bits / 8 / (batch * length) + kv
-        flops = 2 * costs.matmul_weights + 2 * costs.attn * (length + 1)
     else:
         bytes_per_tok = costs.weight_bits / 8 / batch + kv * length + kv
-        flops = 2 * costs.matmul_weights + 4 * costs.attn * length
     if include_activations:
         bytes_per_tok += costs.act_bytes
     cf = kv * length + costs.weight_bits / 8 / batch
-    return flops / bytes_per_tok, cf, float(flops), bytes_per_tok
+    return flops / bytes_per_tok, cf, flops, bytes_per_tok
 
 
 def cf_request(spec: ModelSpec, point: OperatingPoint) -> float:

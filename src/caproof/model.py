@@ -190,6 +190,15 @@ class ModelCosts(NamedTuple):
     attn: int
     act_bytes: float
 
+    def token_flops(self, phase: Phase, length: int) -> int:
+        """Matmul FLOPs per token at context length L, the one statement of
+        the FLOP formula: 2 * matmul_weights plus the attention-score term,
+        4 * attn * L for a DECODE token at cache length L and its mean over
+        positions 1..L, 2 * attn * (L + 1), for a PREFILL token."""
+        if phase is Phase.PREFILL:
+            return 2 * self.matmul_weights + 2 * self.attn * (length + 1)
+        return 2 * self.matmul_weights + 4 * self.attn * length
+
 
 def _ffn_matrix_count(spec: ModelSpec) -> int:
     # Gated FFN uses gate/up/down; plain FFN only up/down.
@@ -267,5 +276,4 @@ def flops_per_token(spec: ModelSpec, phase: Phase, context_len: int) -> int:
     """
     if context_len < 1:
         raise ValueError(f"context_len must be >= 1, got {context_len}")
-    costs = spec.costs
-    return 2 * costs.matmul_weights + 4 * costs.attn * context_len
+    return spec.costs.token_flops(Phase.DECODE, context_len)

@@ -13,7 +13,8 @@ import io
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, TextIO
 
-from .analysis import ROW_BLOCK, BoundClass, SweepResult, sweep_workload, write_csv
+from .analysis import (ROW_BLOCK, BoundClass, FormattedCells, SweepResult, sweep_workload,
+                       write_csv)
 from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, cf_request, decode_metrics
 from .model import ModelSpec, Phase, kv_bytes_per_token, weight_bytes
@@ -59,11 +60,13 @@ def sweep_text(result: SweepResult, out: TextIO) -> None:
     )
     phases = {phase: f"{phase.value:<9}" for phase in Phase}
     bounds = {bound: f"{bound.value:<18}" for bound in BoundClass}
+    lengths, rates, ratios = (FormattedCells(">9"), FormattedCells(">12.6g"),
+                              FormattedCells(">8.3g"))
     rows = result.rows
     for start in range(0, len(rows), ROW_BLOCK):
         out.write("".join([
-            f"{kind:<15}{phases[phase]}{batch:>6}{length:>9}{oi:>12.6g}{cf:>12.6g}"
-            f"  {bounds[bound]}{rate:>12.6g}{mfu:>8.3g}{mbu:>8.3g}\n"
+            f"{kind:<15}{phases[phase]}{batch:>6}{lengths[length]}{oi:>12.6g}{cf:>12.6g}"
+            f"  {bounds[bound]}{rates[rate]}{ratios[mfu]}{ratios[mbu]}\n"
             for (kind, phase, batch, length, ((oi, cf, _, _), bound, rate, mfu, mbu, _, _),
                  _, _, _, _) in rows[start:start + ROW_BLOCK]
         ]))

@@ -449,3 +449,72 @@ class TestClassifySingleSource:
                     best * hw.mem_bandwidth / expected.flops_per_token * hw.num_devices)
         assert seen == set(BoundClass)
 
+
+
+class TestSweepGridColumns:
+    """sweep_grid classifies each (phase, L) column once, at its smallest
+    batch, and extends that verdict along the batch axis; every row still
+    equals classify at its point."""
+
+    @pytest.mark.parametrize("include_activations", [False, True])
+    @pytest.mark.parametrize("replicate_weights", [False, True])
+    def test_rows_equal_classify_at_every_batch(self, include_activations, replicate_weights):
+        rng = random.Random(10 + 2 * include_activations + replicate_weights)
+        flags = (include_activations, replicate_weights)
+        heads, turned_compute_bound = set(), set()
+        for _ in range(120):
+            spec = random_model(rng)
+            length = rng.randint(1, 100_000)
+            phase = rng.choice([Phase.PREFILL, Phase.DECODE])
+            hw = boundary_hardware(rng, spec, OperatingPoint(length, 1, phase),
+                                   include_activations)
+            one_device = dataclasses.replace(hw, num_devices=1)
+            per_device = max(1, max_feasible_batch(spec, one_device, length))
+            # around and far above the largest per-device batch B_max(L)
+            batches = {rng.randint(1, 3), per_device, per_device + 1,
+                       *(rng.randint(1, 64 * per_device) for _ in range(6))}
+            lengths = {length, rng.randint(1, length), length * rng.randint(2, 8)}
+            if rng.random() < 0.25:  # the ridge equals the OI at one grid batch
+                tie = OperatingPoint(length, rng.choice(sorted(batches)), phase)
+                hw = make_hw(phase_metrics(spec, tie, include_activations).oi, 1.0,
+                             hw.mem_capacity, devices=hw.num_devices)
+            result = sweep_grid(spec, hw, batches, lengths, Phase, *flags)
+            assert [(r.phase, r.batch_size, r.context_len) for r in result.rows] == [
+                (p, b, n) for p in Phase for b in sorted(batches) for n in sorted(lengths)]
+            for row in result.rows:
+                point = OperatingPoint(row.context_len, row.batch_size, row.phase)
+                assert row.analysis == classify(spec, hw, point, *flags)
+            per_phase = len(batches) * len(lengths)
+            for start in range(0, len(result.rows), per_phase):
+                for offset in range(len(lengths)):  # one (phase, L) column, batch ascending
+                    column = [row.analysis.bound_class for row in
+                              result.rows[start + offset:start + per_phase:len(lengths)]]
+                    heads.add(column[0])
+                    if (column[0] is BoundClass.CAPACITY_LIMITED
+                            and BoundClass.COMPUTE_BOUND in column):
+                        turned_compute_bound.add(result.rows[start].phase)
+        assert heads == set(BoundClass)
+        assert turned_compute_bound == set(Phase)
+
+    def test_one_classify_per_column_and_no_point_per_row(self, monkeypatch):
+        calls, points = [], []
+        original = analysis.classify
+
+        def counting(spec, hw, point, *flags):
+            calls.append((point.phase, point.batch_size, point.context_len))
+            return original(spec, hw, point, *flags)
+
+        checked = OperatingPoint.__post_init__
+
+        def counted(point):
+            points.append(point)
+            checked(point)
+
+        monkeypatch.setattr(analysis, "classify", counting)
+        monkeypatch.setattr(OperatingPoint, "__post_init__", counted)
+        lengths = [2**i for i in range(5, 21)]
+        result = sweep_grid(ref48_spec(), make_hw(2.25e15, 8e12, 192e9), range(3, 35), lengths)
+        assert len(result.rows) == 2 * 32 * 16
+        assert len({r.analysis.bound_class for r in result.rows}) == 4
+        assert calls == [(phase, 3, length) for phase in Phase for length in lengths]
+        assert len(points) == len(calls)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import caproof
-from caproof import reports
+from caproof import analysis, cli, reports
 from caproof.analysis import classify
 from caproof.cli import main, parse_grid, parse_int_list, parse_scalar, run
 from caproof.config import ConfigError, resolve_config
@@ -178,6 +178,58 @@ class TestCommands:
                  "--grid", "B=1,L=4k", "--out", str(tmp_path)])
         assert (tmp_path / "sweep.csv").exists()
         assert not (tmp_path / "sweep.txt").exists()
+
+
+class TestOutCheckedBeforeAnalysis:
+    """An unusable --out is found before the command classifies anything."""
+
+    @pytest.fixture
+    def sweep_calls(self, monkeypatch):
+        calls = []
+        original = analysis.sweep_grid
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (analysis, cli):
+            if getattr(module, "sweep_grid", None) is original:
+                monkeypatch.setattr(module, "sweep_grid", recording)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],
+        ["sweep", "--grid", "B=1..64,L=1k..1m:log"],
+        ["roofline-plot", "--format", "text"],
+    ])
+    def test_artifact_path_that_is_a_directory(self, tmp_path, sweep_calls, argv):
+        out = tmp_path / "out"
+        (out / f"{argv[0]}.txt").mkdir(parents=True)
+        with pytest.raises(ConfigError, match=r"^--out: Is a directory: '.*\.txt'$"):
+            run([*argv, "--model", "dense-70b", "--hardware", "b200-sxm", "--out", str(out)])
+        assert sweep_calls == []
+        assert [p.name for p in out.iterdir()] == [f"{argv[0]}.txt"]
+        assert not list((out / f"{argv[0]}.txt").iterdir())
+
+    @pytest.mark.parametrize("out, message", [
+        ("file", "File exists: '{tmp}/file'"),
+        ("file/sub/deeper", "Not a directory: '{tmp}/file/sub/deeper'"),
+    ])
+    def test_out_at_or_under_a_file(self, tmp_path, sweep_calls, out, message):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(ConfigError) as exc:
+            run(["sweep", "--model", "dense-70b", "--hardware", "b200-sxm",
+                 "--grid", "B=1..64,L=1k..1m:log", "--out", str(tmp_path / out)])
+        assert str(exc.value) == "--out: " + message.format(tmp=tmp_path)
+        assert sweep_calls == []
+        assert (tmp_path / "file").read_text() == ""
+
+    def test_usable_out_runs_the_analysis(self, tmp_path, sweep_calls):
+        assert run(["analyze", "--model", "dense-70b", "--hardware", "b200-sxm",
+                    "--out", str(tmp_path / "new" / "dir")]) == 0
+        assert len(sweep_calls) == 1
+        assert sorted(p.name for p in (tmp_path / "new" / "dir").iterdir()) == [
+            "analyze.csv", "analyze.svg", "analyze.txt"]
 
 
 class TestFlags:

@@ -99,6 +99,25 @@ def min_devices(
                          _device_capacity_bits(hw), point.batch_size, replicate_weights)
 
 
+def _verdict(metrics: PhaseMetrics, column: tuple, devices: int, ridge: float,
+             compute_rate: float, bandwidth: float, num_devices: int) -> PhaseAnalysis:
+    """README rules 1-4 at one point, given the verdict of its (phase, L)
+    column, (bound_class, rate, mfu, mbu, max_feasible_batch), and the
+    compute-bound tokens/s, peak / flops_per_token * num_devices."""
+    bound, rate, mfu, mbu, feasible = column
+    if bound is BoundClass.CAPACITY_EXCEEDED:  # no attainable rate, mfu or mbu
+        return PhaseAnalysis(metrics, bound, 0.0, 0.0, 0.0, feasible, devices)
+    oi = metrics.oi
+    if oi >= ridge:
+        return PhaseAnalysis(metrics, BoundClass.COMPUTE_BOUND, compute_rate, 1.0, ridge / oi,
+                             feasible, devices)
+    if bound is BoundClass.CAPACITY_LIMITED:  # the best reachable rate, mfu and mbu
+        return PhaseAnalysis(metrics, bound, rate, mfu, mbu, feasible, devices)
+    return PhaseAnalysis(metrics, BoundClass.BANDWIDTH_BOUND,
+                         oi * bandwidth / metrics.flops_per_token * num_devices, oi / ridge, 1.0,
+                         feasible, devices)
+
+
 def classify(
     spec: ModelSpec,
     hw: HardwareSpec,
@@ -118,7 +137,7 @@ def classify(
 
     OI is monotone non-decreasing in batch size (weight amortization), so
     ridge reachability is decided at that largest feasible batch, whose OI
-    comes from the same formula as the point's.
+    comes from the same formula as the point's. _verdict applies the rules.
     """
     bits = spec.weight_bits
     ridge = ridge_point(hw, bits)
@@ -132,31 +151,16 @@ def classify(
     cap_dev = _device_capacity_bits(hw)
     feasible = _feasible_batch(weights, kv_bits, cap_dev, hw.num_devices, replicate_weights)
     devices = _device_count(weights, kv_bits, cap_dev, point.batch_size, replicate_weights)
-
     if weights + kv_bits > cap_dev:
-        # no attainable rate, mfu or mbu
-        return PhaseAnalysis(metrics, BoundClass.CAPACITY_EXCEEDED, 0.0, 0.0, 0.0,
-                             feasible, devices)
-
-    peak = hw.peak_for(bits)
-    if metrics.oi >= ridge:
-        bound = BoundClass.COMPUTE_BOUND
-        mfu, mbu = 1.0, ridge / metrics.oi
-        flops_rate = peak
+        column = (BoundClass.CAPACITY_EXCEEDED, 0.0, 0.0, 0.0, feasible)
     else:
-        per_device_batch = (cap_dev - weights) // kv_bits
-        best_oi = _metrics(costs, phase, length, per_device_batch, include_activations,
-                           flops)[0]
-        if best_oi >= ridge:
-            bound = BoundClass.BANDWIDTH_BOUND
-            mfu, mbu = metrics.oi / ridge, 1.0
-            flops_rate = metrics.oi * hw.mem_bandwidth
-        else:
-            bound = BoundClass.CAPACITY_LIMITED
-            mfu, mbu = best_oi / ridge, 1.0
-            flops_rate = best_oi * hw.mem_bandwidth
-    return PhaseAnalysis(metrics, bound, flops_rate / metrics.flops_per_token * hw.num_devices,
-                         mfu, mbu, feasible, devices)
+        best_oi = _metrics(costs, phase, length, (cap_dev - weights) // kv_bits,
+                           include_activations, flops)[0]
+        column = (BoundClass.BANDWIDTH_BOUND if best_oi >= ridge else BoundClass.CAPACITY_LIMITED,
+                  best_oi * hw.mem_bandwidth / flops * hw.num_devices, best_oi / ridge, 1.0,
+                  feasible)
+    return _verdict(metrics, column, devices, ridge, hw.peak_for(bits) / flops * hw.num_devices,
+                    hw.mem_bandwidth, hw.num_devices)
 
 
 class SweepRow(NamedTuple):
@@ -284,12 +288,9 @@ def sweep_grid(
     classify runs once per (phase, L) column, at the smallest batch: whether
     one request fits and whether some per-device-feasible batch reaches the
     ridge depend on L alone, and OI never falls as the batch grows (weight
-    bytes per token are W/B + c). So a larger batch of the column is
-    capacity-exceeded with its head; else compute-bound once its own OI
-    reaches the ridge; else of the head's class, bandwidth-bound with its own
-    mfu or capacity-limited with the head's rate, mfu and mbu. Each field is
-    classify's expression at that batch, and no OperatingPoint is built for
-    it.
+    bytes per token are W/B + c). Every larger batch of the column is judged
+    by _verdict against the head's verdict, and no OperatingPoint is built
+    for it.
     """
     if not batch_sizes or not context_lens:
         raise ValueError("sweep grid must be non-empty")
@@ -310,25 +311,14 @@ def sweep_grid(
             rows.append(SweepRow("point", phase, batches[0], length, head))
             flops = head.metrics.flops_per_token
             columns.append((length, costs.kv_bits * length, flops, peak / flops * num_devices,
-                            *head[1:6]))
+                            head[1:6]))
         for batch in batches[1:]:
-            for (length, kv_bits, flops, compute_rate,
-                 bound, rate, mfu, mbu, feasible) in columns:
+            for length, kv_bits, flops, compute_rate, column in columns:
                 metrics = PhaseMetrics(*_metrics(costs, phase, length, batch,
                                                  include_activations, flops))
-                oi = metrics.oi
                 devices = _device_count(weights, kv_bits, cap_dev, batch, replicate_weights)
-                if bound is BoundClass.CAPACITY_EXCEEDED:
-                    analysis = PhaseAnalysis(metrics, bound, 0.0, 0.0, 0.0, feasible, devices)
-                elif oi >= ridge:
-                    analysis = PhaseAnalysis(metrics, BoundClass.COMPUTE_BOUND, compute_rate,
-                                             1.0, ridge / oi, feasible, devices)
-                elif bound is BoundClass.BANDWIDTH_BOUND:
-                    analysis = PhaseAnalysis(metrics, bound, oi * bandwidth / flops * num_devices,
-                                             oi / ridge, 1.0, feasible, devices)
-                else:  # the head is below the ridge too, so capacity-limited
-                    analysis = PhaseAnalysis(metrics, bound, rate, mfu, mbu, feasible, devices)
-                rows.append(SweepRow("point", phase, batch, length, analysis))
+                rows.append(SweepRow("point", phase, batch, length, _verdict(
+                    metrics, column, devices, ridge, compute_rate, bandwidth, num_devices)))
     return SweepResult(model=spec.name, hardware=hw.name, rows=tuple(rows))
 
 

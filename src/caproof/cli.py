@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import reports
 from .analysis import BoundClass, sweep_grid, sweep_workload
-from .config import ConfigError, list_catalog, resolve_config
+from .config import MAX_EXACT_INT, ConfigError, list_catalog, resolve_config
 from .model import Phase
 
 EXIT_OK = 0
@@ -30,18 +30,23 @@ EXIT_INFEASIBLE = 3
 
 _SUFFIXES = {"k": 1_000, "m": 1_000_000, "g": 1_000_000_000}
 MAX_RANGE_POINTS = 100_000
+# Rows of one batch x context grid over its phases: about 1 GB held at ~500
+# bytes a row.
+MAX_GRID_ROWS = 2_000_000
 
 
 def parse_scalar(token: str) -> int:
     token = token.strip().lower()
-    factor = 1
+    digits, factor = token, 1
     if token and token[-1] in _SUFFIXES:
-        factor = _SUFFIXES[token[-1]]
-        token = token[:-1]
+        digits, factor = token[:-1], _SUFFIXES[token[-1]]
     try:
-        return int(token) * factor
+        value = int(digits) * factor
     except ValueError:
-        raise ConfigError(f"not an integer: '{token}'") from None
+        raise ConfigError(f"not an integer: '{digits}'") from None
+    if abs(value) > MAX_EXACT_INT:
+        raise ConfigError(f"integer beyond 2**53: '{token}'")
+    return value
 
 
 def _expand_range(expr: str) -> List[int]:
@@ -161,6 +166,14 @@ def _int_list(text: Optional[str], default: str, field: str) -> List[int]:
     return _at_least_one(parse_int_list(default if text is None else text), field)
 
 
+def _check_grid_size(flag: str, phase: Optional[str], batches: List[int],
+                     contexts: List[int]) -> None:
+    """Reject a grid of more than MAX_GRID_ROWS rows before any analysis."""
+    rows = len(_PHASES[phase or "both"]) * len(set(batches)) * len(set(contexts))
+    if rows > MAX_GRID_ROWS:
+        raise ConfigError(f"{flag}: the grid has {rows} rows, more than {MAX_GRID_ROWS}")
+
+
 def _reject_with_workload(args, *flags: str) -> None:
     """Grid flags are errors next to --workload, even when set to their default."""
     for flag in flags:
@@ -191,8 +204,11 @@ def _sweep_report(args, workload_ref, batches=(), contexts=()) -> reports.Report
 
 
 def _analyze(args) -> reports.Report:
-    return _sweep_report(args, None, _flag("--batch", _int_list, args.batch, "1", "batch_size"),
-                         _flag("--context", _int_list, args.context, "4096", "context_len"))
+    batches = _flag("--batch", _int_list, args.batch, "1", "batch_size")
+    contexts = _flag("--context", _int_list, args.context, "4096", "context_len")
+    _check_grid_size("--batch" if args.batch is not None else "--context", args.phase,
+                     batches, contexts)
+    return _sweep_report(args, None, batches, contexts)
 
 
 def _roofline_plot(args) -> reports.Report:
@@ -211,6 +227,7 @@ def _sweep(args) -> reports.Report:
     grid = _flag("--grid", parse_grid, args.grid)
     batches = _flag("--grid", _at_least_one, grid.get("B", [1]), "batch_size")
     contexts = _flag("--grid", _at_least_one, grid.get("L", [4096]), "context_len")
+    _check_grid_size("--grid", args.phase, batches, contexts)
     return _sweep_report(args, None, batches, contexts)
 
 

@@ -35,6 +35,10 @@ _SCALARS = {"str": str, "int": int, "float": float, "bool": bool}
 
 _CATALOG_DIRS = {"model": "models", "hardware": "hardware", "workload": "workloads"}
 
+# The largest integer magnitude a float holds exactly. Every integer input is
+# bounded by it, so the float forms of counts and their products stay finite.
+MAX_EXACT_INT = 2**53
+
 
 class ConfigError(ValueError):
     """A config file failed to load or validate."""
@@ -51,8 +55,9 @@ def _require(data: Dict[str, Any], key: str, source: str) -> Any:
 
 
 def _check(value: Any, key: str, kind: type, source: str) -> Any:
-    """value as a JSON scalar of the given type: bool is not int, int widens
-    to float, and a float must be finite."""
+    """value as a JSON scalar of the given type: bool is not int, an int is
+    at most MAX_EXACT_INT in magnitude, int widens to float, and a float must
+    be finite."""
     if kind is int and isinstance(value, bool):
         _fail(source, f"key '{key}' must be an integer, got a boolean")
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
@@ -62,6 +67,8 @@ def _check(value: Any, key: str, kind: type, source: str) -> Any:
             value = math.inf
     if not isinstance(value, kind):
         _fail(source, f"key '{key}' must be {kind.__name__}, got {type(value).__name__}")
+    if kind is int and abs(value) > MAX_EXACT_INT:
+        _fail(source, f"key '{key}' must be at most 2**53 in magnitude")
     if kind is float and not math.isfinite(value):
         _fail(source, f"key '{key}' must be a finite number, got {value}")
     return value
@@ -141,7 +148,7 @@ def load_config(path: Union[str, Path], allow_unknown: bool = False) -> Spec:
         _fail(source, "no such config file")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer of too many digits
         _fail(source, f"invalid JSON: {exc}")
     return parse_config(data, source, allow_unknown)
 

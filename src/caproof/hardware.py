@@ -37,8 +37,8 @@ class HardwareSpec:
                 raise ValueError(f"peak_flops[{bits}] must be > 0, got {rate}")
         if self.mem_bandwidth <= 0:
             raise ValueError(f"mem_bandwidth must be > 0, got {self.mem_bandwidth}")
-        if self.mem_capacity <= 0:
-            raise ValueError(f"mem_capacity must be > 0, got {self.mem_capacity}")
+        if self.mem_capacity < 1:
+            raise ValueError(f"mem_capacity must be >= 1 byte, got {self.mem_capacity}")
         if self.num_devices < 1:
             raise ValueError(f"num_devices must be >= 1, got {self.num_devices}")
 

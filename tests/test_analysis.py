@@ -418,7 +418,9 @@ def boundary_hardware(rng: random.Random, spec: ModelSpec, point: OperatingPoint
 
 class TestClassifySingleSource:
     """classify's OI at the point and at the largest per-device batch come
-    from the formula behind metrics.phase_metrics, bit for bit."""
+    from the formula behind metrics.phase_metrics, bit for bit, and its
+    verdict equals README rules 1-4 restated here from the public functions,
+    apart from the rules function that classify and sweep_grid share."""
 
     @pytest.mark.parametrize("include_activations", [False, True])
     @pytest.mark.parametrize("replicate_weights", [False, True])
@@ -434,19 +436,30 @@ class TestClassifySingleSource:
             for name in PhaseMetrics._fields:
                 assert getattr(result.metrics, name) == getattr(expected, name), name
             seen.add(result.bound_class)
-            if result.bound_class not in (BoundClass.BANDWIDTH_BOUND,
-                                          BoundClass.CAPACITY_LIMITED):
-                continue
+            assert result.max_feasible_batch == max_feasible_batch(
+                spec, hw, point.context_len, replicate_weights)
+            assert result.min_devices == min_devices(spec, hw, point, replicate_weights)
             one_device = dataclasses.replace(hw, num_devices=1)
             per_device = max_feasible_batch(spec, one_device, point.context_len)
-            best = phase_metrics(spec, OperatingPoint(point.context_len, per_device, point.phase),
-                                 include_activations).oi
             ridge = ridge_point(hw, spec.weight_bits)
-            assert (result.bound_class is BoundClass.BANDWIDTH_BOUND) == (best >= ridge)
-            if result.bound_class is BoundClass.CAPACITY_LIMITED:
-                assert result.mfu_est == best / ridge
-                assert result.attainable_tokens_per_s == (
-                    best * hw.mem_bandwidth / expected.flops_per_token * hw.num_devices)
+            oi, flops, devices = expected.oi, expected.flops_per_token, hw.num_devices
+            if per_device == 0:  # one request does not fit one device
+                verdict = (BoundClass.CAPACITY_EXCEEDED, 0.0, 0.0, 0.0)
+            elif oi >= ridge:
+                verdict = (BoundClass.COMPUTE_BOUND,
+                           hw.peak_for(spec.weight_bits) / flops * devices, 1.0, ridge / oi)
+            else:
+                best = phase_metrics(spec, OperatingPoint(point.context_len, per_device,
+                                                          point.phase),
+                                     include_activations).oi
+                if best >= ridge:
+                    verdict = (BoundClass.BANDWIDTH_BOUND,
+                               oi * hw.mem_bandwidth / flops * devices, oi / ridge, 1.0)
+                else:
+                    verdict = (BoundClass.CAPACITY_LIMITED,
+                               best * hw.mem_bandwidth / flops * devices, best / ridge, 1.0)
+            assert (result.bound_class, result.attainable_tokens_per_s, result.mfu_est,
+                    result.mbu_est) == verdict
         assert seen == set(BoundClass)
 
 

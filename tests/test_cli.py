@@ -463,3 +463,89 @@ class TestProcessLevel:
         assert "hw.json" in result.stderr and named in result.stderr
         assert "must be a finite number" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+BEYOND_FLOAT = "1" + "0" * 320  # an integer no float holds
+
+
+class GridReached(Exception):
+    """Raised in place of analysing a grid."""
+
+
+class TestInputBounds:
+    """Integers above 2**53 and grids above MAX_GRID_ROWS rows exit 2 before
+    any analysis, name the flag and write nothing."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--model", "dense-70b", "--hardware", "b200-sxm",
+          "--context", BEYOND_FLOAT], f"--context: integer beyond 2**53: '{BEYOND_FLOAT}'"),
+        (["analyze", "--model", "dense-70b", "--hardware", "b200-sxm",
+          "--batch", BEYOND_FLOAT], f"--batch: integer beyond 2**53: '{BEYOND_FLOAT}'"),
+        (["compare-attention", "--model", "mha-48x2048", "--model", "gqa8-48x2048",
+          "--grid", f"L=1,{BEYOND_FLOAT}"], f"--grid: integer beyond 2**53: '{BEYOND_FLOAT}'"),
+        (["sweep", "--model", "dense-70b", "--hardware", "b200-sxm",
+          "--grid", f"L=1..{BEYOND_FLOAT}:log5"],
+         f"--grid: integer beyond 2**53: '{BEYOND_FLOAT}'"),
+    ])
+    def test_integers_beyond_float_range_name_the_flag(self, argv, message, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["caproof", *argv, "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_scalar_bound_is_two_to_the_53(self):
+        assert parse_scalar(str(2**53)) == 2**53
+        assert parse_scalar("-9007199254740992") == -2**53
+        with pytest.raises(ConfigError, match=r"beyond 2\*\*53"):
+            parse_scalar(str(2**53 + 1))
+        with pytest.raises(ConfigError, match=r"beyond 2\*\*53"):
+            parse_scalar("9007199254740993")
+        with pytest.raises(ConfigError, match=r"^integer beyond 2\*\*53: '9007199254741k'$"):
+            parse_scalar("9007199254741K")
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        """The (batches, contexts, phases) each sweep_grid call gets; the call
+        then stops the command, so no grid is analysed."""
+        calls = []
+
+        def stopped(spec, hw, batches, contexts, phases, *flags):
+            calls.append((len(set(batches)), len(set(contexts)), len(phases)))
+            raise GridReached
+
+        monkeypatch.setattr(cli, "sweep_grid", stopped)
+        return calls
+
+    @pytest.mark.parametrize("argv, flag, rows", [
+        (["sweep", "--grid", "B=1..100001,L=1..100001"], "--grid", 2 * 100001 * 100001),
+        (["sweep", "--grid", "B=1..2001,L=1..1000", "--phase", "decode"], "--grid", 2001000),
+        (["analyze", "--batch", ",".join(map(str, range(1, 1002))),
+          "--context", ",".join(map(str, range(1, 1001)))], "--batch", 2 * 1001 * 1000),
+        (["analyze", "--context", ",".join(map(str, range(1, 1000002)))], "--context",
+         2 * 1000001),
+        (["roofline-plot", "--context", ",".join(map(str, range(1, 1002))),
+          "--batch", ",".join(map(str, range(1, 1001)))], "--batch", 2 * 1000 * 1001),
+    ])
+    def test_oversized_grid_names_the_flag(self, argv, flag, rows, tmp_path, grids):
+        with pytest.raises(ConfigError) as exc:
+            run([argv[0], "--model", "dense-70b", "--hardware", "b200-sxm", *argv[1:],
+                 "--out", str(tmp_path)])
+        assert str(exc.value) == (f"{flag}: the grid has {rows} rows, "
+                                  f"more than {cli.MAX_GRID_ROWS}")
+        assert grids == []
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, shape", [
+        (["sweep", "--grid", "B=1..1000,L=1..1000"], (1000, 1000, 2)),
+        (["sweep", "--grid", "B=1..2000,L=1..1000", "--phase", "prefill"], (2000, 1000, 1)),
+    ])
+    def test_grid_of_max_rows_reaches_the_analysis(self, argv, shape, tmp_path, grids):
+        assert cli.MAX_GRID_ROWS == 2_000_000
+        with pytest.raises(GridReached):
+            run([argv[0], "--model", "dense-70b", "--hardware", "b200-sxm", *argv[1:],
+                 "--out", str(tmp_path)])
+        assert grids == [shape]
+        assert not list(tmp_path.iterdir())

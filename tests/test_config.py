@@ -269,3 +269,56 @@ def test_hand_built_specs_round_trip(spec, tmp_path):
     reloaded = load_config(path)
     assert reloaded == spec
     assert spec_to_dict(reloaded) == spec_to_dict(spec)
+
+
+@pytest.mark.parametrize("kind, data, key", [
+    ("model", dict(MINIMAL_MODEL, num_layers=10**400), "num_layers"),
+    ("model", dict(MINIMAL_MODEL, d_ff=-10**400), "d_ff"),
+    ("model", dict(MINIMAL_MODEL, vocab_size=2**53 + 1), "vocab_size"),
+    ("workload", dict(WORKLOAD, prefill_tokens_per_turn=10**400), "prefill_tokens_per_turn"),
+    ("hardware", dict(HARDWARE, num_devices=10**400), "num_devices"),
+])
+def test_integers_beyond_two_to_the_53_name_the_file_and_key(tmp_path, capsys, monkeypatch,
+                                                            kind, data, key):
+    path = write(tmp_path, "big.json", data)
+    refs = {"model": "dense-70b", "hardware": "b200-sxm", "workload": None, kind: str(path)}
+    command = ["sweep", "--workload", refs["workload"]] if refs["workload"] else ["analyze"]
+    out = tmp_path / "out"
+    monkeypatch.setattr("sys.argv", ["caproof", *command, "--model", refs["model"],
+                                     "--hardware", refs["hardware"], "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: key '{key}' must be at most 2**53 in magnitude\n")
+    assert not out.exists()
+
+
+def test_integer_bound_is_inclusive(tmp_path):
+    spec = load_config(write(tmp_path, "m.json", dict(MINIMAL_MODEL, vocab_size=2**53)))
+    assert spec.vocab_size == 2**53
+
+
+def test_integer_of_too_many_digits_names_the_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(MINIMAL_MODEL).replace('"num_layers": 2',
+                                                      '"num_layers": 1' + "0" * 5000))
+    with pytest.raises(ConfigError, match="invalid JSON: Exceeds the limit") as exc:
+        load_config(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "agent-profile"])
+def test_sub_byte_capacity_names_the_file(tmp_path, capsys, monkeypatch, command):
+    path = write(tmp_path, "hw.json", dict(HARDWARE, mem_capacity=0.5))
+    out = tmp_path / "out"
+    monkeypatch.setattr("sys.argv", ["caproof", command, "--model", "dense-70b",
+                                     "--hardware", str(path), "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: mem_capacity must be >= 1 byte, got 0.5\n")
+    assert not out.exists()
+    one_byte = load_config(write(tmp_path, "one.json", dict(HARDWARE, mem_capacity=1)))
+    assert one_byte.mem_capacity == 1

@@ -66,3 +66,10 @@ def test_validation():
         unit_device(peak_flops={12: 1e12})
     with pytest.raises(ValueError, match="oi"):
         attainable_flops(unit_device(), 16, 0)
+
+
+def test_capacity_of_at_least_one_byte():
+    for capacity in (0, 0.5, 1 - 1e-9):
+        with pytest.raises(ValueError, match="mem_capacity must be >= 1 byte"):
+            unit_device(mem_capacity=capacity)
+    assert unit_device(mem_capacity=1).mem_capacity == 1

@@ -11,16 +11,15 @@ weights once across the aggregation by default (parallelism-agnostic lower
 bound) or per device with replicate_weights=True (upper bound).
 
 Capacity comparisons are carried out in integer bits so feasibility and
-device-count duality are exact.
+device-count duality are exact. The results are plain data; reports renders
+them as CSV, text and SVG.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, PhaseMetrics, _metrics
@@ -175,102 +174,11 @@ class SweepRow(NamedTuple):
     decode_total_tokens: Optional[int] = None
 
 
-CSV_COLUMNS = (
-    "row_kind",
-    "workload",
-    "turn_index",
-    "phase",
-    "batch_size",
-    "context_len",
-    "oi",
-    "cf_bytes",
-    "flops_per_token",
-    "bytes_per_token",
-    "bound_class",
-    "attainable_tokens_per_s",
-    "mfu_est",
-    "mbu_est",
-    "max_feasible_batch",
-    "min_devices",
-    "prefill_total_tokens",
-    "decode_total_tokens",
-)
-
-
-# Rows per write when a sweep artifact is streamed to a file.
-ROW_BLOCK = 1000
-
-
-class _QuotedCells(dict):
-    """A string cell as the csv module writes it inside a row, computed once
-    per distinct string. A lone empty field would be written as '""', so
-    each cell is quoted next to a second, empty one."""
-
-    def __missing__(self, text: str) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow((text, ""))
-        cell = self[text] = buf.getvalue()[:-2]
-        return cell
-
-
-class FormattedCells(dict):
-    """format(value, spec) of each distinct value, computed once per
-    renderer call: on a grid a length, FLOP count, rate or ratio repeats down
-    its column. One instance holds values of one type, since equal keys
-    share a cell and 1 == 1.0."""
-
-    def __init__(self, spec: str = ""):
-        super().__init__()
-        self.spec = spec
-
-    def __missing__(self, value) -> str:
-        cell = self[value] = format(value, self.spec)
-        return cell
-
-
 @dataclass(frozen=True)
 class SweepResult:
     model: str
     hardware: str
     rows: Tuple[SweepRow, ...]
-
-    def to_csv(self, out: TextIO) -> None:
-        """Stable column schema, full float precision, deterministic order,
-        byte-identical to write_csv. Each row is formatted as one line and
-        the lines are written ROW_BLOCK at a time, so the CSV is never held
-        whole: floats with repr, ints with str, None as an empty cell, and
-        each distinct string cell quoted once by the csv module. The columns
-        whose values repeat down a grid column are formatted once per
-        distinct value (format with an empty spec is str, and a float's str
-        is its repr)."""
-        quoted = _QuotedCells()
-        ints, floats = FormattedCells(), FormattedCells()
-        phases = {phase: quoted[phase.value] for phase in Phase}
-        bounds = {bound: quoted[bound.value] for bound in BoundClass}
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        rows = self.rows
-        for start in range(0, len(rows), ROW_BLOCK):
-            out.write("".join([
-                f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
-                f"{phases[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"
-                f"{nbytes!r},{bounds[bound]},{floats[rate]},{floats[mfu]},{floats[mbu]},"
-                f"{ints[feasible]},{devices},"
-                f"{'' if prefill_total is None else prefill_total},"
-                f"{'' if decode_total is None else decode_total}\n"
-                for (kind, phase, batch, length,
-                     ((oi, cf, flops, nbytes), bound, rate, mfu, mbu, feasible, devices),
-                     workload, turn, prefill_total, decode_total)
-                in rows[start:start + ROW_BLOCK]
-            ]))
-
-
-def write_csv(out: TextIO, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """The CSV dialect of every report: a header, then one line per row tuple.
-    The csv module writes floats with repr (full precision) and None as an
-    empty cell."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
 
 
 def sweep_grid(

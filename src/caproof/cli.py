@@ -23,6 +23,7 @@ from . import reports
 from .analysis import BoundClass, sweep_grid, sweep_workload
 from .config import MAX_EXACT_INT, ConfigError, list_catalog, resolve_config
 from .model import Phase
+from .workload import MAX_SWEEP_ROWS as MAX_GRID_ROWS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,9 +31,6 @@ EXIT_INFEASIBLE = 3
 
 _SUFFIXES = {"k": 1_000, "m": 1_000_000, "g": 1_000_000_000}
 MAX_RANGE_POINTS = 100_000
-# Rows of one batch x context grid over its phases: about 1 GB held at ~500
-# bytes a row.
-MAX_GRID_ROWS = 2_000_000
 
 
 def parse_scalar(token: str) -> int:
@@ -166,6 +164,11 @@ def _int_list(text: Optional[str], default: str, field: str) -> List[int]:
     return _at_least_one(parse_int_list(default if text is None else text), field)
 
 
+def _one_int(text: Optional[str], default: str, field: str) -> int:
+    """The value of a one-integer flag, or its default when it was not given."""
+    return _at_least_one([parse_scalar(default if text is None else text)], field)[0]
+
+
 def _check_grid_size(flag: str, phase: Optional[str], batches: List[int],
                      contexts: List[int]) -> None:
     """Reject a grid of more than MAX_GRID_ROWS rows before any analysis."""
@@ -195,7 +198,7 @@ def _sweep_report(args, workload_ref, batches=(), contexts=()) -> reports.Report
         phases = _PHASES[args.phase or "both"]
         result = sweep_grid(model, hw, batches, contexts, phases, *flags)
     return reports.Report(
-        csv=result.to_csv,
+        csv=lambda out: reports.write_sweep_csv(result, out),
         text=lambda out: reports.sweep_text(result, out),
         svg=lambda out: reports.roofline_svg(model, hw, result, f"{model.name} on {hw.name}",
                                              out),
@@ -246,26 +249,26 @@ def _context_axis(text: str) -> List[int]:
 
 
 def _compare_attention(args) -> reports.Report:
-    _flag("--batch", _at_least_one, [args.batch], "batch_size")
+    batch = _flag("--batch", _one_int, args.batch, "1", "batch_size")
     models = _compared_models(args)
     lengths = _flag("--grid", _context_axis, args.grid)
-    rows = reports.compare_attention_rows(models, lengths, args.batch)
+    rows = reports.compare_attention_rows(models, lengths, batch)
     return reports.Report(
         csv=lambda out: out.write(reports.compare_attention_csv(rows)),
-        text=lambda out: out.write(reports.compare_attention_text(models, rows, args.batch)),
-        svg=lambda out: out.write(reports.compare_attention_svg(models, rows, args.batch)),
+        text=lambda out: out.write(reports.compare_attention_text(models, rows, batch)),
+        svg=lambda out: out.write(reports.compare_attention_svg(models, rows, batch)),
     )
 
 
 def _compare_moe(args) -> reports.Report:
-    _flag("--context", _at_least_one, [args.context], "context_len")
+    context = _flag("--context", _one_int, args.context, "4096", "context_len")
     models = _compared_models(args)
     batches = sorted(set(_flag("--batch", _int_list, args.batch, "1,16", "batch_size")))
-    rows = reports.compare_moe_rows(models, batches, args.context, args.include_activations)
+    rows = reports.compare_moe_rows(models, batches, context, args.include_activations)
     return reports.Report(
         csv=lambda out: out.write(reports.compare_moe_csv(rows)),
-        text=lambda out: out.write(reports.compare_moe_text(rows, args.context)),
-        svg=lambda out: out.write(reports.compare_moe_svg(rows, args.context)),
+        text=lambda out: out.write(reports.compare_moe_text(rows, context)),
+        svg=lambda out: out.write(reports.compare_moe_svg(rows, context)),
     )
 
 
@@ -307,14 +310,12 @@ COMMANDS = {
     "sweep": ("grid or workload-driven sweep", _sweep,
               {"hardware": {}, "phase": {}, "grid": {}, "workload": {}, **_POINT_FLAGS}),
     "compare-attention": ("footprint vs context across attention variants", _compare_attention,
-                          {"batch": {"type": parse_scalar, "default": "1",
-                                     "help": "one batch size (default 1)"},
+                          {"batch": {"help": "one batch size (default 1)"},
                            "grid": {"default": "L=1k..1m:log",
                                     "help": "context grid (L dimension only)"}}),
     "compare-moe": ("dense vs MoE footprint bars and decode intensity", _compare_moe,
                     {"batch": {"help": "comma list of batch sizes (default 1,16)"},
-                     "context": {"type": parse_scalar, "default": "4096",
-                                 "help": "one context length (default 4096)"},
+                     "context": {"help": "one context length (default 4096)"},
                      "include-activations": {}}),
     "agent-profile": ("per-agent token totals, footprint, and intensity", _agent_profile,
                       {"hardware": {},

@@ -156,16 +156,10 @@ class ModelSpec:
         """The spec's derived constants, computed on first use. Not a field:
         eq, hash and repr ignore it, and dataclasses.replace gives the new
         spec its own."""
-        if isinstance(self.attention, MLA):
-            kv_width = self.attention.d_latent + self.attention.d_rope
-        else:
-            kv_heads = (self.attention.num_kv_heads if isinstance(self.attention, GQA)
-                        else self.num_heads)
-            kv_width = 2 * kv_heads * self.head_dim
         return ModelCosts(
             weight_bits=total_params(self) * self.weight_bits,
             matmul_weights=activated_params(self) - embedding_params(self),
-            kv_bits=self.num_layers * kv_width * self.kv_bits,
+            kv_bits=self.num_layers * _kv_width(self) * self.kv_bits,
             attn=self.num_layers * self.num_heads * self.head_dim,
             act_bytes=2 * self.num_layers * self.d_model * self.weight_bits / 8,
         )
@@ -205,18 +199,22 @@ def _ffn_matrix_count(spec: ModelSpec) -> int:
     return 3 if spec.ffn_gated else 2
 
 
+def _kv_width(spec: ModelSpec) -> int:
+    """Cached elements per token per layer: K and V per head for MHA, per KV
+    head for GQA, one latent (+rope) vector for MLA."""
+    attention = spec.attention
+    if isinstance(attention, MLA):
+        return attention.d_latent + attention.d_rope
+    kv_heads = attention.num_kv_heads if isinstance(attention, GQA) else spec.num_heads
+    return 2 * kv_heads * spec.head_dim
+
+
 def _attn_params_per_layer(spec: ModelSpec) -> int:
+    """Query and output projections plus the K/V projections, d_model x the
+    cached K/V width. For MLA that is the single joint down-projection; its
+    per-head up-projections are folded into the query/output terms."""
     q_out = spec.num_heads * spec.head_dim
-    attn = spec.d_model * q_out + q_out * spec.d_model  # query + output projections
-    if isinstance(spec.attention, MLA):
-        # The compressed K/V path is a single joint down-projection; per-head
-        # up-projections are folded into the query/output terms above.
-        attn += spec.d_model * (spec.attention.d_latent + spec.attention.d_rope)
-    elif isinstance(spec.attention, GQA):
-        attn += 2 * spec.d_model * spec.attention.num_kv_heads * spec.head_dim
-    else:
-        attn += 2 * spec.d_model * q_out
-    return attn
+    return spec.d_model * q_out + q_out * spec.d_model + spec.d_model * _kv_width(spec)
 
 
 def _ffn_params_per_layer(spec: ModelSpec, activated_only: bool) -> int:

@@ -1,4 +1,6 @@
-"""Report builders: text tables, CSV, and self-contained SVG charts.
+"""Report builders: text tables, CSV, and self-contained SVG charts. This
+module owns every artifact format, the sweep CSV schema included; sweep
+artifacts are streamed ROW_BLOCK rows at a time.
 
 Four chart types: the capacity-extended roofline with classified workload
 points, capacity-footprint-vs-context curves per attention variant,
@@ -9,12 +11,12 @@ token/footprint/intensity profile. Text and SVG render numbers with
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, TextIO
+from typing import Callable, Dict, Iterable, List, Sequence, TextIO
 
-from .analysis import (ROW_BLOCK, BoundClass, FormattedCells, SweepResult, sweep_workload,
-                       write_csv)
+from .analysis import BoundClass, SweepResult, sweep_workload
 from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, cf_request, decode_metrics
 from .model import ModelSpec, Phase, kv_bytes_per_token, weight_bytes
@@ -28,6 +30,30 @@ CLASS_COLORS = {
     BoundClass.CAPACITY_EXCEEDED: "#e53e3e",
 }
 SERIES_COLORS = ["#3182ce", "#d69e2e", "#38a169", "#805ad5", "#dd6b20", "#319795"]
+
+CSV_COLUMNS = (
+    "row_kind",
+    "workload",
+    "turn_index",
+    "phase",
+    "batch_size",
+    "context_len",
+    "oi",
+    "cf_bytes",
+    "flops_per_token",
+    "bytes_per_token",
+    "bound_class",
+    "attainable_tokens_per_s",
+    "mfu_est",
+    "mbu_est",
+    "max_feasible_batch",
+    "min_devices",
+    "prefill_total_tokens",
+    "decode_total_tokens",
+)
+
+# Rows per write when a sweep artifact is streamed to a file.
+ROW_BLOCK = 1000
 
 
 @dataclass(frozen=True)
@@ -43,10 +69,72 @@ class Report:
     exceeded: bool = False
 
 
-def sweep_csv(result: SweepResult) -> str:
-    """The sweep CSV as one string; the CLI streams result.to_csv to its file."""
+class Cells(dict):
+    """render(value, *args) of each distinct value, computed once per
+    renderer call: on a grid a length, FLOP count, rate or ratio repeats down
+    its column. One instance holds values of one type, since equal keys
+    share a cell and 1 == 1.0."""
+
+    def __init__(self, render: Callable[..., str], *args):
+        super().__init__()
+        self.render, self.args = render, args
+
+    def __missing__(self, value) -> str:
+        cell = self[value] = self.render(value, *self.args)
+        return cell
+
+
+def _quoted(text: str) -> str:
+    """A string cell as the csv module writes it inside a row. A lone empty
+    field would be written as '""', so the cell is quoted next to a second,
+    empty one."""
     buf = io.StringIO()
-    result.to_csv(buf)
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def write_csv(out: TextIO, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """The CSV dialect of every report: a header, then one line per row tuple.
+    The csv module writes floats with repr (full precision) and None as an
+    empty cell."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+
+
+def write_sweep_csv(result: SweepResult, out: TextIO) -> None:
+    """The sweep CSV: CSV_COLUMNS, full float precision, deterministic order,
+    byte-identical to write_csv. Each row is formatted as one line and the
+    lines are written ROW_BLOCK at a time, so the CSV is never held whole:
+    floats with repr, ints with str, None as an empty cell, and each distinct
+    string cell quoted once by the csv module. The columns whose values
+    repeat down a grid column are formatted once per distinct value (format
+    without a spec is str, and a float's str is its repr)."""
+    quoted = Cells(_quoted)
+    ints, floats = Cells(format), Cells(format)
+    phases = {phase: quoted[phase.value] for phase in Phase}
+    bounds = {bound: quoted[bound.value] for bound in BoundClass}
+    out.write(",".join(CSV_COLUMNS) + "\n")
+    rows = result.rows
+    for start in range(0, len(rows), ROW_BLOCK):
+        out.write("".join([
+            f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
+            f"{phases[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"
+            f"{nbytes!r},{bounds[bound]},{floats[rate]},{floats[mfu]},{floats[mbu]},"
+            f"{ints[feasible]},{devices},"
+            f"{'' if prefill_total is None else prefill_total},"
+            f"{'' if decode_total is None else decode_total}\n"
+            for (kind, phase, batch, length,
+                 ((oi, cf, flops, nbytes), bound, rate, mfu, mbu, feasible, devices),
+                 workload, turn, prefill_total, decode_total)
+            in rows[start:start + ROW_BLOCK]
+        ]))
+
+
+def sweep_csv(result: SweepResult) -> str:
+    """The sweep CSV as one string; the CLI streams write_sweep_csv to its file."""
+    buf = io.StringIO()
+    write_sweep_csv(result, buf)
     return buf.getvalue()
 
 
@@ -60,8 +148,7 @@ def sweep_text(result: SweepResult, out: TextIO) -> None:
     )
     phases = {phase: f"{phase.value:<9}" for phase in Phase}
     bounds = {bound: f"{bound.value:<18}" for bound in BoundClass}
-    lengths, rates, ratios = (FormattedCells(">9"), FormattedCells(">12.6g"),
-                              FormattedCells(">8.3g"))
+    lengths, rates, ratios = Cells(format, ">9"), Cells(format, ">12.6g"), Cells(format, ">8.3g")
     rows = result.rows
     for start in range(0, len(rows), ROW_BLOCK):
         out.write("".join([

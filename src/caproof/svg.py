@@ -5,6 +5,7 @@ rendered with 6 significant digits so identical inputs give identical bytes.
 
 from __future__ import annotations
 
+import io
 import math
 from typing import List, Optional, Sequence, TextIO, Tuple
 
@@ -70,15 +71,11 @@ class Canvas:
             f"{escape(content)}</text>"
         )
 
-    def _head(self) -> str:
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
-            f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>\n'
-        )
-
     def to_svg(self) -> str:
-        return self._head() + "".join(f"{part}\n" for part in self._parts) + "</svg>\n"
+        """The whole chart as one string, rendered through write."""
+        buf = io.StringIO()
+        self.write(buf, end=True)
+        return buf.getvalue()
 
     def write(self, out: TextIO, end: bool = False) -> None:
         """Stream the chart: the first call writes the <svg> head, every call
@@ -86,7 +83,9 @@ class Canvas:
         the call with end=True the closing tag. Lines written straight to
         `out` between two calls land between those parts."""
         if not self._started:
-            out.write(self._head())
+            out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
+                      f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
+                      f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>\n')
             self._started = True
         out.write("".join(f"{part}\n" for part in self._parts))
         self._parts.clear()

@@ -11,6 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+# Rows one sweep may hold: about 1 GB at ~500 bytes a row.
+MAX_SWEEP_ROWS = 2_000_000
+MAX_TURNS = (MAX_SWEEP_ROWS - 2) // 2  # a prefill and a decode row a turn, two totals
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -24,6 +28,8 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.turns < 1:
             raise ValueError(f"turns must be >= 1, got {self.turns}")
+        if self.turns > MAX_TURNS:
+            raise ValueError(f"turns must be <= {MAX_TURNS}, got {self.turns}")
         if self.prefill_tokens_per_turn < 0:
             raise ValueError(
                 f"prefill_tokens_per_turn must be >= 0, got {self.prefill_tokens_per_turn}"

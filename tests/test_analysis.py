@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from caproof import analysis, metrics, model
+from caproof import analysis, metrics, model, reports
 from caproof.analysis import (
     BoundClass,
     PhaseAnalysis,
@@ -284,7 +284,7 @@ class TestSweep:
         for _ in range(2):
             result = sweep_grid(spec, hw, [1, 2], [1024], phases=(Phase.DECODE,))
             buf = io.StringIO()
-            result.to_csv(buf)
+            reports.write_sweep_csv(result, buf)
             buffers.append(buf.getvalue())
         assert buffers[0] == buffers[1]
         header = buffers[0].splitlines()[0]

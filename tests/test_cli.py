@@ -13,6 +13,7 @@ from caproof.cli import main, parse_grid, parse_int_list, parse_scalar, run
 from caproof.config import ConfigError, resolve_config
 from caproof.metrics import OperatingPoint, decode_metrics
 from caproof.model import Phase
+from caproof.workload import MAX_TURNS
 
 CODING_AGENT_PATH = str(Path(caproof.__file__).parent / "catalog" / "workloads"
                         / "coding-agent.json")
@@ -271,11 +272,12 @@ class TestFlags:
         ["compare-moe", "--replicate-weights"],
         ["compare-moe", "--context", "4k,32k"],
     ])
-    def test_unused_or_multi_value_flags_exit_2(self, extra, tmp_path):
-        argv = [extra[0], "--model", "mha-48x2048", "--model", "gqa8-48x2048",
-                *extra[1:], "--out", str(tmp_path)]
+    def test_unused_or_multi_value_flags_exit_2(self, extra, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["caproof", extra[0], "--model", "mha-48x2048",
+                                          "--model", "gqa8-48x2048", *extra[1:],
+                                          "--out", str(tmp_path)])
         with pytest.raises(SystemExit) as exc:
-            run(argv)
+            main()
         assert exc.value.code == 2
         assert not list(tmp_path.iterdir())
 
@@ -337,6 +339,8 @@ class TestFlags:
          "--workload: 'coding-agent' is given more than once"),
         (["agent-profile", "--workload", "coding-agent", "--workload", CODING_AGENT_PATH],
          "--workload: 'coding-agent' is given more than once"),
+        (["compare-moe", "--context", "4x"], "--context: not an integer: '4x'"),
+        (["compare-attention", "--batch", "1,2"], "--batch: not an integer: '1,2'"),
     ])
     def test_values_below_one_name_the_flag(self, argv, message, tmp_path, capsys,
                                             monkeypatch):
@@ -486,6 +490,8 @@ class TestInputBounds:
         (["sweep", "--model", "dense-70b", "--hardware", "b200-sxm",
           "--grid", f"L=1..{BEYOND_FLOAT}:log5"],
          f"--grid: integer beyond 2**53: '{BEYOND_FLOAT}'"),
+        (["compare-moe", "--model", "dense-70b", "--model", "moe-256e",
+          "--context", BEYOND_FLOAT], f"--context: integer beyond 2**53: '{BEYOND_FLOAT}'"),
     ])
     def test_integers_beyond_float_range_name_the_flag(self, argv, message, tmp_path, capsys,
                                                        monkeypatch):
@@ -495,6 +501,24 @@ class TestInputBounds:
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, turns", [("sweep", MAX_TURNS + 1),
+                                                ("agent-profile", 2**53)])
+    def test_workload_turns_beyond_the_row_budget(self, command, turns, tmp_path, capsys,
+                                                  monkeypatch):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"type": "workload", "name": "long", "turns": turns,
+                                    "prefill_tokens_per_turn": 1, "decode_tokens_per_turn": 1}))
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["caproof", command, "--model", "dense-70b",
+                                          "--hardware", "b200-sxm", "--workload", str(path),
+                                          "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (f"error: {path}: turns must be <= {MAX_TURNS}, "
+                                           f"got {turns}\n")
+        assert not out.exists()
 
     def test_scalar_bound_is_two_to_the_53(self):
         assert parse_scalar(str(2**53)) == 2**53

@@ -10,12 +10,12 @@ import random
 import pytest
 
 from caproof import reports
-from caproof.analysis import (CSV_COLUMNS, SweepResult, classify, sweep_grid, sweep_workload,
-                              write_csv)
+from caproof.analysis import SweepResult, classify, sweep_grid, sweep_workload
 from caproof.config import list_catalog, resolve_config
 from caproof.hardware import HardwareSpec
 from caproof.metrics import OperatingPoint
 from caproof.model import Phase, kv_bytes_per_token, weight_bytes
+from caproof.reports import CSV_COLUMNS, write_csv, write_sweep_csv
 from caproof.workload import WorkloadSpec, expand, total_tokens
 from oracles import random_model
 
@@ -57,7 +57,7 @@ class TestCsvByteIdentity:
         workload = WorkloadSpec(name, turns=3, prefill_tokens_per_turn=100,
                                 decode_tokens_per_turn=10)
         result = sweep_workload(spec, random_hardware(rng, spec), workload)
-        assert streamed(result.to_csv) == reference_csv(result)
+        assert streamed(lambda out: write_sweep_csv(result, out)) == reference_csv(result)
 
     def test_mixed_names_in_one_result(self):
         rng = random.Random(5)
@@ -69,7 +69,7 @@ class TestCsvByteIdentity:
                                     decode_tokens_per_turn=5)
             rows += sweep_workload(spec, hw, workload).rows
         result = SweepResult("m", "h", tuple(rows))
-        assert streamed(result.to_csv) == reference_csv(result)
+        assert streamed(lambda out: write_sweep_csv(result, out)) == reference_csv(result)
 
     def test_random_grid_rows(self):
         rng = random.Random(17)
@@ -80,7 +80,7 @@ class TestCsvByteIdentity:
             result = sweep_grid(spec, random_hardware(rng, spec), batches, lengths,
                                 include_activations=rng.random() < 0.5,
                                 replicate_weights=rng.random() < 0.5)
-            assert streamed(result.to_csv) == reference_csv(result)
+            assert streamed(lambda out: write_sweep_csv(result, out)) == reference_csv(result)
             assert reports.sweep_csv(result) == reference_csv(result)
 
 
@@ -128,7 +128,7 @@ class TestBoundedWrites:
         model, hw, result = big_grid
         out = RecordingFile()
         if renderer == "csv":
-            result.to_csv(out)
+            write_sweep_csv(result, out)
         elif renderer == "text":
             reports.sweep_text(result, out)
         else:

@@ -1,6 +1,6 @@
 import pytest
 
-from caproof.workload import WorkloadSpec, expand, total_tokens
+from caproof.workload import MAX_SWEEP_ROWS, MAX_TURNS, WorkloadSpec, expand, total_tokens
 
 
 def test_single_turn_decode_contexts():
@@ -68,3 +68,15 @@ def test_validation():
                      batch_size=0)
     with pytest.raises(ValueError, match="decode_tokens_per_turn"):
         WorkloadSpec("w", turns=1, prefill_tokens_per_turn=1, decode_tokens_per_turn=-1)
+
+
+def test_turns_capped_by_the_sweep_row_budget():
+    """A sweep of MAX_TURNS turns (two rows a turn plus two totals) fits the
+    row budget; one turn more is rejected before anything is expanded."""
+    assert MAX_TURNS == 999_999
+    assert 2 * MAX_TURNS + 2 <= MAX_SWEEP_ROWS < 2 * (MAX_TURNS + 1) + 2
+    assert WorkloadSpec("w", turns=MAX_TURNS, prefill_tokens_per_turn=1,
+                        decode_tokens_per_turn=1).turns == MAX_TURNS
+    with pytest.raises(ValueError, match=f"^turns must be <= {MAX_TURNS}, got {MAX_TURNS + 1}$"):
+        WorkloadSpec("w", turns=MAX_TURNS + 1, prefill_tokens_per_turn=1,
+                     decode_tokens_per_turn=1)

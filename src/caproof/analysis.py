@@ -23,7 +23,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, PhaseMetrics, _metrics
-from .model import ModelSpec, Phase
+from .model import ModelSpec, Phase, _bound
 from .workload import WorkloadSpec, expand, total_tokens
 
 
@@ -78,8 +78,7 @@ def max_feasible_batch(
 ) -> int:
     """Largest batch whose weights + KV fit the aggregation; 0 if even the
     weights do not fit."""
-    if context_len < 1:
-        raise ValueError(f"context_len must be >= 1, got {context_len}")
+    _bound("context_len", context_len, ">= 1")
     costs = spec.costs
     return _feasible_batch(costs.weight_bits, costs.kv_bits * context_len,
                            _device_capacity_bits(hw), hw.num_devices, replicate_weights)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from . import reports
 from .analysis import BoundClass, sweep_grid, sweep_workload
 from .config import MAX_EXACT_INT, ConfigError, list_catalog, resolve_config
-from .model import Phase
+from .model import Phase, _bound
 from .workload import MAX_SWEEP_ROWS as MAX_GRID_ROWS
 
 EXIT_OK = 0
@@ -120,10 +120,10 @@ _EXTENSIONS = {"csv": "csv", "svg": "svg", "text": "txt"}
 
 
 def _flag(flag: str, read, *values):
-    """read(*values), a ConfigError it raises prefixed with the flag: "--batch: ..."."""
+    """read(*values), a ValueError it raises prefixed with the flag: "--batch: ..."."""
     try:
         return read(*values)
-    except ConfigError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from None
 
 
@@ -154,8 +154,7 @@ def _at_least_one(values: List[int], field: str) -> List[int]:
     """The values, checked before any artifact is written: at least one, each >= 1."""
     if not values:
         raise ConfigError("needs at least one value")
-    if min(values) < 1:
-        raise ConfigError(f"{field} must be >= 1, got {min(values)}")
+    _bound(field, min(values), ">= 1")
     return values
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .model import VALID_ELEMENT_BITS
+from .model import VALID_ELEMENT_BITS, _bound
 
 
 class UnknownPrecisionError(ValueError):
@@ -33,14 +33,10 @@ class HardwareSpec:
                 raise ValueError(
                     f"peak_flops precision must be one of {VALID_ELEMENT_BITS}, got {bits}"
                 )
-            if rate <= 0:
-                raise ValueError(f"peak_flops[{bits}] must be > 0, got {rate}")
-        if self.mem_bandwidth <= 0:
-            raise ValueError(f"mem_bandwidth must be > 0, got {self.mem_bandwidth}")
-        if self.mem_capacity < 1:
-            raise ValueError(f"mem_capacity must be >= 1 byte, got {self.mem_capacity}")
-        if self.num_devices < 1:
-            raise ValueError(f"num_devices must be >= 1, got {self.num_devices}")
+            _bound(f"peak_flops[{bits}]", rate, "> 0")
+        _bound("mem_bandwidth", self.mem_bandwidth, "> 0")
+        _bound("mem_capacity", self.mem_capacity, ">= 1 byte")
+        _bound("num_devices", self.num_devices, ">= 1")
 
     def peak_for(self, bits: int) -> float:
         try:
@@ -60,6 +56,5 @@ def ridge_point(hw: HardwareSpec, bits: int) -> float:
 
 def attainable_flops(hw: HardwareSpec, bits: int, oi: float) -> float:
     """min(peak, oi * bandwidth) per device: the classic roofline."""
-    if oi <= 0:
-        raise ValueError(f"oi must be > 0, got {oi}")
+    _bound("oi", oi, "> 0")
     return min(hw.peak_for(bits), oi * hw.mem_bandwidth)

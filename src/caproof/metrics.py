@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .model import ModelCosts, ModelSpec, Phase
+from .model import ModelCosts, ModelSpec, Phase, _bound
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,8 @@ class OperatingPoint:
     phase: Phase
 
     def __post_init__(self):
-        if self.context_len < 1:
-            raise ValueError(f"context_len must be >= 1, got {self.context_len}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        _bound("context_len", self.context_len, ">= 1")
+        _bound("batch_size", self.batch_size, ">= 1")
 
 
 class PhaseMetrics(NamedTuple):

@@ -17,11 +17,21 @@ them from there.
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 VALID_ELEMENT_BITS = (2, 4, 8, 16, 32)
+_RULE_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def _bound(name: str, value, rule: str) -> None:
+    """ValueError unless value keeps rule, e.g. ">= 1 byte"; NaN and +-inf never do."""
+    op, limit = rule.split()[:2]
+    if not (_RULE_OPS[op](value, int(limit)) and abs(value) != math.inf):
+        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 class Phase(enum.Enum):
@@ -44,8 +54,7 @@ class GQA:
     kind = "gqa"
 
     def __post_init__(self):
-        if self.num_kv_heads < 1:
-            raise ValueError(f"num_kv_heads must be >= 1, got {self.num_kv_heads}")
+        _bound("num_kv_heads", self.num_kv_heads, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -58,10 +67,8 @@ class MLA:
     kind = "mla"
 
     def __post_init__(self):
-        if self.d_latent <= 0:
-            raise ValueError(f"d_latent must be > 0, got {self.d_latent}")
-        if self.d_rope < 0:
-            raise ValueError(f"d_rope must be >= 0, got {self.d_rope}")
+        _bound("d_latent", self.d_latent, "> 0")
+        _bound("d_rope", self.d_rope, ">= 0")
 
 
 AttentionKind = Union[MHA, GQA, MLA]
@@ -82,28 +89,22 @@ class MoESpec:
     num_shared_experts: int = 0
 
     def __post_init__(self):
-        if self.num_experts < 1:
-            raise ValueError(f"num_experts must be >= 1, got {self.num_experts}")
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+        _bound("num_experts", self.num_experts, ">= 1")
+        _bound("top_k", self.top_k, ">= 1")
         if self.top_k > self.num_experts:
             raise ValueError(
                 f"top_k ({self.top_k}) must not exceed num_experts ({self.num_experts})"
             )
-        if self.num_shared_experts < 0:
-            raise ValueError(
-                f"num_shared_experts must be >= 0, got {self.num_shared_experts}"
-            )
-        if self.d_ff_expert <= 0:
-            raise ValueError(f"d_ff_expert must be > 0, got {self.d_ff_expert}")
+        _bound("d_ff_expert", self.d_ff_expert, "> 0")
+        _bound("num_shared_experts", self.num_shared_experts, ">= 0")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Full architectural descriptor from which all counts derive.
 
-    head_dim defaults to d_model // num_heads. num_heads * head_dim is not
-    forced to equal d_model (all three only need to be positive).
+    head_dim defaults to d_model // num_heads, which are checked > 0 first.
+    num_heads * head_dim need not equal d_model; all three need only be > 0.
     """
 
     name: str
@@ -120,6 +121,8 @@ class ModelSpec:
     kv_bits: int = 16
 
     def __post_init__(self):
+        for field_name in ("num_layers", "d_model", "num_heads", "d_ff"):
+            _bound(field_name, getattr(self, field_name), "> 0")
         if self.head_dim is None:
             if self.d_model % self.num_heads != 0:
                 raise ValueError(
@@ -127,12 +130,8 @@ class ModelSpec:
                     f"({self.d_model} / {self.num_heads})"
                 )
             object.__setattr__(self, "head_dim", self.d_model // self.num_heads)
-        for field_name in ("num_layers", "d_model", "num_heads", "head_dim", "d_ff"):
-            value = getattr(self, field_name)
-            if value <= 0:
-                raise ValueError(f"{field_name} must be > 0, got {value}")
-        if self.vocab_size < 0:
-            raise ValueError(f"vocab_size must be >= 0, got {self.vocab_size}")
+        _bound("head_dim", self.head_dim, "> 0")
+        _bound("vocab_size", self.vocab_size, ">= 0")
         for field_name in ("weight_bits", "kv_bits"):
             value = getattr(self, field_name)
             if value not in VALID_ELEMENT_BITS:
@@ -272,6 +271,5 @@ def flops_per_token(spec: ModelSpec, phase: Phase, context_len: int) -> int:
     callers integrate over positions. For DECODE context_len is the current
     cache length.
     """
-    if context_len < 1:
-        raise ValueError(f"context_len must be >= 1, got {context_len}")
+    _bound("context_len", context_len, ">= 1")
     return spec.costs.token_flops(Phase.DECODE, context_len)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from .model import _bound
+
 # Rows one sweep may hold: about 1 GB at ~500 bytes a row.
 MAX_SWEEP_ROWS = 2_000_000
 MAX_TURNS = (MAX_SWEEP_ROWS - 2) // 2  # a prefill and a decode row a turn, two totals
@@ -26,20 +28,11 @@ class WorkloadSpec:
     batch_size: int = 1
 
     def __post_init__(self):
-        if self.turns < 1:
-            raise ValueError(f"turns must be >= 1, got {self.turns}")
-        if self.turns > MAX_TURNS:
-            raise ValueError(f"turns must be <= {MAX_TURNS}, got {self.turns}")
-        if self.prefill_tokens_per_turn < 0:
-            raise ValueError(
-                f"prefill_tokens_per_turn must be >= 0, got {self.prefill_tokens_per_turn}"
-            )
-        if self.decode_tokens_per_turn < 0:
-            raise ValueError(
-                f"decode_tokens_per_turn must be >= 0, got {self.decode_tokens_per_turn}"
-            )
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        _bound("turns", self.turns, ">= 1")
+        _bound("turns", self.turns, f"<= {MAX_TURNS}")
+        _bound("prefill_tokens_per_turn", self.prefill_tokens_per_turn, ">= 0")
+        _bound("decode_tokens_per_turn", self.decode_tokens_per_turn, ">= 0")
+        _bound("batch_size", self.batch_size, ">= 1")
 
 
 @dataclass(frozen=True)

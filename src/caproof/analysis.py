@@ -254,7 +254,7 @@ def sweep_workload(
         if record.prefill_tokens > 0:
             end = record.prefill_start_context + record.prefill_tokens
             rows.append(row("point", Phase.PREFILL, end, turn_index=turn))
-        if len(record.decode_context_lengths) > 0:
+        if record.decode_tokens > 0:
             rows.append(row("point", Phase.DECODE, record.cumulative_context, turn_index=turn))
     prefill_total, decode_total = total_tokens(trace)
     for phase in (Phase.PREFILL, Phase.DECODE):

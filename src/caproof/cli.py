@@ -120,17 +120,21 @@ _EXTENSIONS = {"csv": "csv", "svg": "svg", "text": "txt"}
 
 
 def _flag(flag: str, read, *values):
-    """read(*values), a ValueError it raises prefixed with the flag: "--batch: ..."."""
+    """read(*values), a ValueError it raises prefixed with the flag or key: "--batch: ..."."""
     try:
         return read(*values)
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from None
 
 
-def _single_model(args):
+def _model_and_hardware(args):
+    """The one --model and the --hardware, which must rate its weight_bits."""
     if len(args.model) != 1:
         raise ConfigError("this command takes exactly one --model")
-    return resolve_config(args.model[0], "model", args.allow_unknown_keys)
+    model = resolve_config(args.model[0], "model", args.allow_unknown_keys)
+    hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
+    _flag(f"{args.model[0]}: key 'weight_bits'", hw.peak_for, model.weight_bits)
+    return model, hw
 
 
 def _resolve_distinct(args, kind: str, refs: Sequence[str]) -> list:
@@ -187,8 +191,7 @@ def _reject_with_workload(args, *flags: str) -> None:
 def _sweep_report(args, workload_ref, batches=(), contexts=()) -> reports.Report:
     """One model on one hardware over a workload trace or a batch x context
     grid: the report of analyze, sweep and roofline-plot."""
-    model = _single_model(args)
-    hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
+    model, hw = _model_and_hardware(args)
     flags = (args.include_activations, args.replicate_weights)
     if workload_ref is not None:
         workload = resolve_config(workload_ref, "workload", args.allow_unknown_keys)
@@ -199,8 +202,7 @@ def _sweep_report(args, workload_ref, batches=(), contexts=()) -> reports.Report
     return reports.Report(
         csv=lambda out: reports.write_sweep_csv(result, out),
         text=lambda out: reports.sweep_text(result, out),
-        svg=lambda out: reports.roofline_svg(model, hw, result, f"{model.name} on {hw.name}",
-                                             out),
+        svg=lambda out: reports.roofline_svg(model, hw, result, out),
         exceeded=any(r.analysis.bound_class is BoundClass.CAPACITY_EXCEEDED for r in result.rows),
     )
 
@@ -272,8 +274,7 @@ def _compare_moe(args) -> reports.Report:
 
 
 def _agent_profile(args) -> reports.Report:
-    model = _single_model(args)
-    hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
+    model, hw = _model_and_hardware(args)
     workloads = _resolve_distinct(args, "workload", args.workload or list_catalog("workload"))
     rows = reports.agent_profile_rows(model, hw, workloads, args.include_activations,
                                       args.replicate_weights)

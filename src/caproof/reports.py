@@ -159,12 +159,10 @@ def sweep_text(result: SweepResult, out: TextIO) -> None:
         ]))
 
 
-def roofline_svg(
-    model: ModelSpec, hw: HardwareSpec, result: SweepResult, title: str, out: TextIO
-) -> None:
+def roofline_svg(model: ModelSpec, hw: HardwareSpec, result: SweepResult, out: TextIO) -> None:
     """Both roofline arms, the ridge point, and the swept points colored by
-    boundedness class. Per-device axes. The points are written ROW_BLOCK at
-    a time between the frame and the legend."""
+    boundedness class, titled "<model> on <hardware>". Per-device axes. The
+    points are written ROW_BLOCK at a time between the frame and the legend."""
     bits = model.weight_bits
     peak = hw.peak_for(bits)
     bandwidth = hw.mem_bandwidth
@@ -179,7 +177,8 @@ def roofline_svg(
     canvas = Canvas(width, height)
     xs = LogScale(lo, hi, x0, x1)
     ys = LogScale(min(lo * bandwidth, peak) / 4, peak * 4, y1, y0)
-    draw_frame(canvas, x0, y0, x1, y1, title=title, x_label="operational intensity (FLOPs/byte)",
+    draw_frame(canvas, x0, y0, x1, y1, title=f"{model.name} on {hw.name}",
+               x_label="operational intensity (FLOPs/byte)",
                y_label="attainable FLOP/s per device", xs=xs, ys=ys)
 
     # Bandwidth arm up to the ridge, then the flat compute roof.

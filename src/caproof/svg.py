@@ -32,44 +32,36 @@ class Canvas:
         self._parts: List[str] = []
         self._started = False
 
+    def _element(self, tag, attrs, content=None):
+        """Draw one element: its (name, value) pairs in order, numbers through fmt,
+        strings verbatim and None left out, then the escaped content, if any."""
+        pairs = " ".join(f'{name}="{value if isinstance(value, str) else fmt(value)}"'
+                         for name, value in attrs if value is not None)
+        self._parts.append(f"<{tag} {pairs}/>" if content is None
+                           else f"<{tag} {pairs}>{escape(content)}</{tag}>")
+
     def rect(self, x, y, w, h, fill, stroke=None, opacity=None):
-        attrs = f'x="{fmt(x)}" y="{fmt(y)}" width="{fmt(w)}" height="{fmt(h)}" fill="{fill}"'
-        if stroke:
-            attrs += f' stroke="{stroke}"'
-        if opacity is not None:
-            attrs += f' fill-opacity="{fmt(opacity)}"'
-        self._parts.append(f"<rect {attrs}/>")
+        self._element("rect", [("x", x), ("y", y), ("width", w), ("height", h), ("fill", fill),
+                               ("stroke", stroke or None), ("fill-opacity", opacity)])
 
     def line(self, x1, y1, x2, y2, stroke="#444", width=1.0, dash=None):
-        attrs = (
-            f'x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
-            f'stroke="{stroke}" stroke-width="{fmt(width)}"'
-        )
-        if dash:
-            attrs += f' stroke-dasharray="{dash}"'
-        self._parts.append(f"<line {attrs}/>")
+        self._element("line", [("x1", x1), ("y1", y1), ("x2", x2), ("y2", y2), ("stroke", stroke),
+                               ("stroke-width", width), ("stroke-dasharray", dash or None)])
 
     def polyline(self, points: Sequence[Tuple[float, float]], stroke, width=1.5):
         coords = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in points)
-        self._parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="{fmt(width)}"/>'
-        )
+        self._element("polyline", [("points", coords), ("fill", "none"), ("stroke", stroke),
+                                   ("stroke-width", width)])
 
     def circle(self, cx, cy, r, fill, stroke=None):
-        attrs = f'cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" fill="{fill}"'
-        if stroke:
-            attrs += f' stroke="{stroke}"'
-        self._parts.append(f"<circle {attrs}/>")
+        self._element("circle", [("cx", cx), ("cy", cy), ("r", r), ("fill", fill),
+                                 ("stroke", stroke or None)])
 
     def text(self, x, y, content, size=11, anchor="start", color="#222", rotate=None):
-        transform = ""
-        if rotate is not None:
-            transform = f' transform="rotate({fmt(rotate)} {fmt(x)} {fmt(y)})"'
-        self._parts.append(
-            f'<text x="{fmt(x)}" y="{fmt(y)}" font-size="{fmt(size)}" '
-            f'font-family="sans-serif" text-anchor="{anchor}" fill="{color}"{transform}>'
-            f"{escape(content)}</text>"
-        )
+        transform = None if rotate is None else f"rotate({fmt(rotate)} {fmt(x)} {fmt(y)})"
+        self._element("text", [("x", x), ("y", y), ("font-size", size),
+                               ("font-family", "sans-serif"), ("text-anchor", anchor),
+                               ("fill", color), ("transform", transform)], content)
 
     def to_svg(self) -> str:
         """The whole chart as one string, rendered through write."""

@@ -37,16 +37,14 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class TurnRecord:
-    """One environment-agent exchange.
-
-    decode_context_lengths holds the context length at which each generated
-    token attends: consecutive integers starting just past the prefill.
-    """
+    """One environment-agent exchange: the prompt extends the context from
+    prefill_start_context by prefill_tokens, then decode_tokens tokens are
+    generated, one per context length, up to cumulative_context."""
 
     turn_index: int
     prefill_start_context: int
     prefill_tokens: int
-    decode_context_lengths: range
+    decode_tokens: int
     cumulative_context: int
 
 
@@ -63,28 +61,17 @@ class TurnTrace:
 def expand(spec: WorkloadSpec) -> TurnTrace:
     """Expand a workload into its deterministic per-turn trace."""
     records: List[TurnRecord] = []
+    prefill, decode = spec.prefill_tokens_per_turn, spec.decode_tokens_per_turn
     cumulative = 0
     for turn in range(spec.turns):
         start = cumulative if spec.carry_context else 0
-        after_prefill = start + spec.prefill_tokens_per_turn
-        decode_contexts = range(
-            after_prefill + 1, after_prefill + spec.decode_tokens_per_turn + 1
-        )
-        cumulative = after_prefill + spec.decode_tokens_per_turn
-        records.append(
-            TurnRecord(
-                turn_index=turn,
-                prefill_start_context=start,
-                prefill_tokens=spec.prefill_tokens_per_turn,
-                decode_context_lengths=decode_contexts,
-                cumulative_context=cumulative,
-            )
-        )
+        cumulative = start + prefill + decode
+        records.append(TurnRecord(turn, start, prefill, decode, cumulative))
     return TurnTrace(workload=spec, records=tuple(records))
 
 
 def total_tokens(trace: TurnTrace) -> Tuple[int, int]:
     """(prefill_total, decode_total) summed over all turns."""
     prefill = sum(r.prefill_tokens for r in trace.records)
-    decode = sum(len(r.decode_context_lengths) for r in trace.records)
+    decode = sum(r.decode_tokens for r in trace.records)
     return prefill, decode

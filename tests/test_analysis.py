@@ -311,6 +311,19 @@ class TestSweep:
         last_decode = [r for r in points if r.phase is Phase.DECODE][-1]
         assert last_decode.context_len == 330
 
+    @pytest.mark.parametrize("prefill, decode, phase", [(100, 0, Phase.PREFILL),
+                                                       (0, 10, Phase.DECODE)])
+    def test_workload_sweep_points_only_phases_with_tokens(self, prefill, decode, phase):
+        workload = WorkloadSpec("one-phase", turns=3, prefill_tokens_per_turn=prefill,
+                                decode_tokens_per_turn=decode)
+        result = sweep_workload(ref48_spec(), make_hw(2.25e15, 8e12, 192e9), workload)
+        points = [(r.phase, r.context_len) for r in result.rows if r.row_kind == "point"]
+        step = prefill + decode
+        assert points == [(phase, step), (phase, 2 * step), (phase, 3 * step)]
+        totals = [r for r in result.rows if r.row_kind == "workload_total"]
+        assert [(r.prefill_total_tokens, r.decode_total_tokens) for r in totals] == [
+            (3 * prefill, 3 * decode)] * 2
+
     def test_empty_grid_rejected(self):
         spec = ref48_spec()
         hw = make_hw(1e12, 1e12, 1e12)

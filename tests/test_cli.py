@@ -520,6 +520,27 @@ class TestInputBounds:
                                            f"got {turns}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["sweep", "--workload", "chatbot"],
+        ["roofline-plot", "--workload", "coding-agent"], ["agent-profile"]])
+    def test_precision_the_hardware_lacks_names_model_and_key(self, argv, tmp_path, capsys,
+                                                              monkeypatch):
+        data = json.loads((Path(caproof.__file__).parent / "catalog" / "models"
+                           / "dense-70b.json").read_text())
+        path = tmp_path / "two-bit.json"
+        path.write_text(json.dumps({**data, "weight_bits": 2}))
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["caproof", argv[0], "--model", str(path),
+                                          "--hardware", "b200-sxm", *argv[1:],
+                                          "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: key 'weight_bits': b200-sxm has no peak-FLOPs entry for 2-bit; "
+            "available precisions: 4, 8, 16\n")
+        assert not out.exists()
+
     def test_scalar_bound_is_two_to_the_53(self):
         assert parse_scalar(str(2**53)) == 2**53
         assert parse_scalar("-9007199254740992") == -2**53

@@ -3,11 +3,12 @@
 Each case picks a command, gives its flags boundary values (0, -1, ",",
 2**53 and 2**53 + 1, huge ranges, duplicates) and may pass a copy of a
 bundled config with one bounded key set to its first rejected value, NaN,
-a number as a string, a wrong type or null. It runs cli.main in process. The
-contract: the exit code is 0, 2 or 3 and nothing else escapes main; an
-exit-2 message starts with a flag of the argv or names the config file (or
-its moe, attention or peak_flops object); and a run that exits 2 writes
-nothing."""
+a number as a string, a wrong type or null. Further cases run a model whose
+weight_bits the hardware has no peak-FLOPs entry for. It runs cli.main in
+process. The contract: the exit code is 0, 2 or 3 and nothing else escapes
+main; an exit-2 message starts with a flag of the argv or names the config
+file (or its moe, attention or peak_flops object); and a run that exits 2
+writes nothing."""
 
 import contextlib
 import functools
@@ -63,6 +64,10 @@ BOUNDED = [("mha-48x2048", (key,), 0) for key in ("num_layers", "d_model", "num_
     ("coding-agent", ("batch_size",), 0),
 ]
 BAD_VALUES = [math.nan, math.inf, -math.inf, "NaN", "7", [1], None, True, 2**53 + 1]
+# Valid bit widths that the b200 presets have no peak-FLOPs entry for, and the
+# runs, after the CASES runs, that pair a model of such a width with one of them.
+UNRATED_BITS = [2, 32]
+UNRATED_CASES = 100
 
 
 def mutated_configs(directory: Path) -> dict:
@@ -82,6 +87,18 @@ def mutated_configs(directory: Path) -> dict:
             path.write_text(json.dumps(data))  # NaN and Infinity are written literally
             files[kind].append(str(path))
     return files
+
+
+def unrated_models(directory: Path) -> list:
+    """A copy of each model preset for each width in UNRATED_BITS."""
+    paths = []
+    for preset in PRESETS["model"]:
+        for bits in UNRATED_BITS:
+            data = json.loads((CATALOG / "models" / f"{preset}.json").read_text())
+            path = directory / f"unrated{len(paths)}.json"
+            path.write_text(json.dumps({**data, "weight_bits": bits}))
+            paths.append(str(path))
+    return paths
 
 
 def random_argv(rng: random.Random, files: dict) -> list:
@@ -117,6 +134,17 @@ def random_argv(rng: random.Random, files: dict) -> list:
     return argv
 
 
+def unrated_argv(rng: random.Random, files: dict, models: list) -> list:
+    """A random argv of a command that takes --hardware, run with an unrated
+    model on a b200 preset."""
+    argv = random_argv(rng, files)
+    while "--hardware" not in argv:
+        argv = random_argv(rng, files)
+    argv[argv.index("--model") + 1] = rng.choice(models)
+    argv[argv.index("--hardware") + 1] = rng.choice(["b200-sxm", "b200-node8"])
+    return argv
+
+
 def check_case(argv: list, out: Path):
     """(exit code, '') when the run keeps the contract, else (code, what it broke)."""
     sys.argv = ["caproof", *argv, "--out", str(out)]
@@ -149,10 +177,11 @@ def test_every_run_keeps_the_exit_contract(tmp_path, monkeypatch):
     # argparse parsers are reusable; building one per run would take most of the time
     monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     files = mutated_configs(tmp_path)
+    unrated = unrated_models(tmp_path)
     rng = random.Random(SEED)
     broken, codes = [], []
-    for case in range(CASES):
-        argv = random_argv(rng, files)
+    for case in range(CASES + UNRATED_CASES):
+        argv = random_argv(rng, files) if case < CASES else unrated_argv(rng, files, unrated)
         out = tmp_path / f"out{case}"
         code, problem = check_case(argv, out)
         codes.append(code)
@@ -160,5 +189,6 @@ def test_every_run_keeps_the_exit_contract(tmp_path, monkeypatch):
             broken.append(f"{' '.join(argv)}: {problem}")
         shutil.rmtree(out, ignore_errors=True)
     assert all(codes.count(code) >= CASES // 40 for code in (0, 2, 3)), "too few of an exit code"
-    assert not broken, f"{len(broken)} of {CASES} runs broke the contract:\n" + "\n".join(
+    assert set(codes[CASES:]) == {2}, "an unrated model ran"
+    assert not broken, f"{len(broken)} of {len(codes)} runs broke the contract:\n" + "\n".join(
         broken[:10])

@@ -132,7 +132,7 @@ class TestBoundedWrites:
         elif renderer == "text":
             reports.sweep_text(result, out)
         else:
-            reports.roofline_svg(model, hw, result, "grid", out)
+            reports.roofline_svg(model, hw, result, out)
         text = out.getvalue()
         line_bytes = len(text) / text.count("\n")
         assert text.count("\n") > len(result.rows)

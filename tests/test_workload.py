@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from caproof.workload import MAX_SWEEP_ROWS, MAX_TURNS, WorkloadSpec, expand, total_tokens
+from caproof.workload import (MAX_SWEEP_ROWS, MAX_TURNS, TurnRecord, WorkloadSpec, expand,
+                              total_tokens)
 
 
 def test_single_turn_decode_contexts():
@@ -9,7 +12,7 @@ def test_single_turn_decode_contexts():
     assert len(trace.records) == 1
     record = trace.records[0]
     assert record.prefill_start_context == 0
-    assert list(record.decode_context_lengths) == list(range(101, 111))
+    assert record.decode_tokens == 10
     assert record.cumulative_context == 110
     assert total_tokens(trace) == (100, 10)
 
@@ -50,9 +53,26 @@ def test_decode_contexts_are_consecutive():
     trace = expand(WorkloadSpec("w", turns=3, prefill_tokens_per_turn=7,
                                 decode_tokens_per_turn=4))
     for record in trace.records:
-        contexts = list(record.decode_context_lengths)
-        assert contexts == list(range(contexts[0], contexts[0] + 4))
-        assert contexts[0] == record.prefill_start_context + record.prefill_tokens + 1
+        assert record.decode_tokens == 4
+        assert (record.prefill_start_context + record.prefill_tokens + record.decode_tokens
+                == record.cumulative_context)
+
+
+def test_trace_matches_closed_form():
+    """With carry_context turn t starts at t * (p + d), without it at 0; the
+    totals are (turns * p, turns * d)."""
+    rng = random.Random(12)
+    for case in range(300):
+        turns = rng.randint(1, 40)
+        p, d = [(0, rng.randint(1, 5000)), (rng.randint(1, 5000), 0),
+                (rng.randint(0, 5000), rng.randint(0, 5000))][case % 3]
+        carry = rng.random() < 0.5
+        trace = expand(WorkloadSpec("w", turns=turns, prefill_tokens_per_turn=p,
+                                    decode_tokens_per_turn=d, carry_context=carry))
+        assert trace.records == tuple(
+            TurnRecord(t, t * (p + d) if carry else 0, p, d, (t + 1 if carry else 1) * (p + d))
+            for t in range(turns))
+        assert total_tokens(trace) == (turns * p, turns * d)
 
 
 def test_expand_deterministic():

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from . import reports
 from .analysis import BoundClass, sweep_grid, sweep_workload
 from .config import MAX_EXACT_INT, ConfigError, list_catalog, resolve_config
+from .hardware import ridge_point
 from .model import Phase, _bound
 from .workload import MAX_SWEEP_ROWS as MAX_GRID_ROWS
 
@@ -128,12 +129,13 @@ def _flag(flag: str, read, *values):
 
 
 def _model_and_hardware(args):
-    """The one --model and the --hardware, which must rate its weight_bits."""
+    """The one --model and the --hardware, which must rate its weight_bits in range."""
     if len(args.model) != 1:
         raise ConfigError("this command takes exactly one --model")
     model = resolve_config(args.model[0], "model", args.allow_unknown_keys)
     hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
     _flag(f"{args.model[0]}: key 'weight_bits'", hw.peak_for, model.weight_bits)
+    _flag(args.hardware, ridge_point, hw, model.weight_bits)
     return model, hw
 
 
@@ -370,16 +372,16 @@ def _artifact_paths(out_dir: str, command: str, formats: Sequence[str]) -> Dict[
 
 
 def _write_artifacts(paths: Dict[str, Path], report: reports.Report) -> List[Path]:
-    """Open each format's artifact path in turn and hand the file to the
-    report's renderer for that format, which writes the artifact into it (a
-    sweep artifact in row blocks). A renderer that raises leaves no file for
-    its format; the artifacts written before it stay. A path that still
-    cannot be opened is a ConfigError naming --out."""
+    """Open each format's artifact path in turn, with a 64 KiB buffer for the
+    sweep's line-at-a-time writes, and hand the file to that format's
+    renderer, which writes the artifact into it as it renders it. A renderer
+    that raises leaves no file for its format; the artifacts written before it
+    stay. A path that still cannot be opened is a ConfigError naming --out."""
     written = []
     for fmt, path in paths.items():
         try:  # the first artifact makes the directory
             path.parent.mkdir(parents=True, exist_ok=True)
-            out = open(path, "w", encoding="utf-8")
+            out = open(path, "w", encoding="utf-8", buffering=1 << 16)
         except OSError as exc:
             raise ConfigError(f"--out: {exc.strerror}: '{exc.filename}'") from None
         try:

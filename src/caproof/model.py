@@ -30,7 +30,7 @@ _RULE_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 def _bound(name: str, value, rule: str) -> None:
     """ValueError unless value keeps rule, e.g. ">= 1 byte"; NaN and +-inf never do."""
     op, limit = rule.split()[:2]
-    if not (_RULE_OPS[op](value, int(limit)) and abs(value) != math.inf):
+    if not (_RULE_OPS[op](value, float(limit)) and abs(value) != math.inf):
         raise ValueError(f"{name} must be {rule}, got {value}")
 
 

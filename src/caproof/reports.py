@@ -1,6 +1,6 @@
 """Report builders: text tables, CSV, and self-contained SVG charts. This
 module owns every artifact format, the sweep CSV schema included; sweep
-artifacts are streamed ROW_BLOCK rows at a time.
+artifacts are written to their file as they are rendered, a line per row.
 
 Four chart types: the capacity-extended roofline with classified workload
 points, capacity-footprint-vs-context curves per attention variant,
@@ -52,16 +52,12 @@ CSV_COLUMNS = (
     "decode_total_tokens",
 )
 
-# Rows per write when a sweep artifact is streamed to a file.
-ROW_BLOCK = 1000
-
-
 @dataclass(frozen=True)
 class Report:
     """One command's artifacts as renderers that each write one format to an
     open text file, so only the formats asked for are rendered and a sweep
-    artifact is streamed rather than held whole. `exceeded` is set when an
-    analyzed point is capacity_exceeded (the --strict exit)."""
+    artifact is written as it is rendered, never held whole. `exceeded` is
+    set when an analyzed point is capacity_exceeded (the --strict exit)."""
 
     csv: Callable[[TextIO], object]
     text: Callable[[TextIO], object]
@@ -104,31 +100,28 @@ def write_csv(out: TextIO, columns: Sequence[str], rows: Iterable[Sequence[objec
 
 def write_sweep_csv(result: SweepResult, out: TextIO) -> None:
     """The sweep CSV: CSV_COLUMNS, full float precision, deterministic order,
-    byte-identical to write_csv. Each row is formatted as one line and the
-    lines are written ROW_BLOCK at a time, so the CSV is never held whole:
-    floats with repr, ints with str, None as an empty cell, and each distinct
-    string cell quoted once by the csv module. The columns whose values
-    repeat down a grid column are formatted once per distinct value (format
-    without a spec is str, and a float's str is its repr)."""
+    byte-identical to write_csv. Each row is formatted as one line and written
+    as it is formatted, so the CSV is never held whole: floats with repr, ints
+    with str, None as an empty cell, and each distinct string cell quoted once
+    by the csv module. The columns whose values repeat down a grid column are
+    formatted once per distinct value (format without a spec is str, and a
+    float's str is its repr)."""
     quoted = Cells(_quoted)
     ints, floats = Cells(format), Cells(format)
     phases = {phase: quoted[phase.value] for phase in Phase}
     bounds = {bound: quoted[bound.value] for bound in BoundClass}
     out.write(",".join(CSV_COLUMNS) + "\n")
-    rows = result.rows
-    for start in range(0, len(rows), ROW_BLOCK):
-        out.write("".join([
-            f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
-            f"{phases[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"
-            f"{nbytes!r},{bounds[bound]},{floats[rate]},{floats[mfu]},{floats[mbu]},"
-            f"{ints[feasible]},{devices},"
-            f"{'' if prefill_total is None else prefill_total},"
-            f"{'' if decode_total is None else decode_total}\n"
-            for (kind, phase, batch, length,
-                 ((oi, cf, flops, nbytes), bound, rate, mfu, mbu, feasible, devices),
-                 workload, turn, prefill_total, decode_total)
-            in rows[start:start + ROW_BLOCK]
-        ]))
+    out.writelines(
+        f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
+        f"{phases[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"
+        f"{nbytes!r},{bounds[bound]},{floats[rate]},{floats[mfu]},{floats[mbu]},"
+        f"{ints[feasible]},{devices},"
+        f"{'' if prefill_total is None else prefill_total},"
+        f"{'' if decode_total is None else decode_total}\n"
+        for (kind, phase, batch, length,
+             ((oi, cf, flops, nbytes), bound, rate, mfu, mbu, feasible, devices),
+             workload, turn, prefill_total, decode_total) in result.rows
+    )
 
 
 def sweep_csv(result: SweepResult) -> str:
@@ -139,8 +132,7 @@ def sweep_csv(result: SweepResult) -> str:
 
 
 def sweep_text(result: SweepResult, out: TextIO) -> None:
-    """The sweep as a fixed-width table, one line per row, written ROW_BLOCK
-    lines at a time."""
+    """The sweep as a fixed-width table, each row's line written as it is formatted."""
     out.write(
         f"model={result.model} hardware={result.hardware}\n"
         f"{'kind':<15}{'phase':<9}{'batch':>6}{'context':>9}{'oi':>12}"
@@ -149,34 +141,31 @@ def sweep_text(result: SweepResult, out: TextIO) -> None:
     phases = {phase: f"{phase.value:<9}" for phase in Phase}
     bounds = {bound: f"{bound.value:<18}" for bound in BoundClass}
     lengths, rates, ratios = Cells(format, ">9"), Cells(format, ">12.6g"), Cells(format, ">8.3g")
-    rows = result.rows
-    for start in range(0, len(rows), ROW_BLOCK):
-        out.write("".join([
-            f"{kind:<15}{phases[phase]}{batch:>6}{lengths[length]}{oi:>12.6g}{cf:>12.6g}"
-            f"  {bounds[bound]}{rates[rate]}{ratios[mfu]}{ratios[mbu]}\n"
-            for (kind, phase, batch, length, ((oi, cf, _, _), bound, rate, mfu, mbu, _, _),
-                 _, _, _, _) in rows[start:start + ROW_BLOCK]
-        ]))
+    out.writelines(
+        f"{kind:<15}{phases[phase]}{batch:>6}{lengths[length]}{oi:>12.6g}{cf:>12.6g}"
+        f"  {bounds[bound]}{rates[rate]}{ratios[mfu]}{ratios[mbu]}\n"
+        for (kind, phase, batch, length, ((oi, cf, _, _), bound, rate, mfu, mbu, _, _),
+             _, _, _, _) in result.rows
+    )
 
 
 def roofline_svg(model: ModelSpec, hw: HardwareSpec, result: SweepResult, out: TextIO) -> None:
     """Both roofline arms, the ridge point, and the swept points colored by
-    boundedness class, titled "<model> on <hardware>". Per-device axes. The
-    points are written ROW_BLOCK at a time between the frame and the legend."""
+    boundedness class, titled "<model> on <hardware>". Per-device axes. Each
+    element is written to `out` as it is drawn, the points between frame and legend."""
     bits = model.weight_bits
     peak = hw.peak_for(bits)
     bandwidth = hw.mem_bandwidth
     ridge = ridge_point(hw, bits)
-    rows = result.rows
-    ois = [row.analysis.metrics.oi for row in rows]
+    ois = [row.analysis.metrics.oi for row in result.rows]
     lo = min(min(ois), ridge) / 4
     hi = max(max(ois), ridge) * 4
 
     width, height = 640, 420
     x0, y0, x1, y1 = 70, 40, width - 170, height - 60
-    canvas = Canvas(width, height)
     xs = LogScale(lo, hi, x0, x1)
     ys = LogScale(min(lo * bandwidth, peak) / 4, peak * 4, y1, y0)
+    canvas = Canvas(width, height, out)
     draw_frame(canvas, x0, y0, x1, y1, title=f"{model.name} on {hw.name}",
                x_label="operational intensity (FLOPs/byte)",
                y_label="attainable FLOP/s per device", xs=xs, ys=ys)
@@ -189,24 +178,21 @@ def roofline_svg(model: ModelSpec, hw: HardwareSpec, result: SweepResult, out: T
     )
     canvas.circle(xs(ridge), ys(peak), 4, fill="#222")
     canvas.text(xs(ridge), ys(peak) - 8, f"ridge {fmt(ridge)}", size=10, anchor="middle")
-    canvas.write(out)
 
     # Each point sits on the roofline: attainable_flops with peak and
     # bandwidth read once, outside the per-row loop. One f-string per point
     # writes what canvas.circle(x, y, 4, fill=color, stroke="#333") would.
-    for start in range(0, len(rows), ROW_BLOCK):
-        out.write("".join([
-            f'<circle cx="{xs(oi):.6g}" cy="{ys(min(peak, oi * bandwidth)):.6g}" r="4" '
-            f'fill="{CLASS_COLORS[bound]}" stroke="#333"/>\n'
-            for (_, _, _, _, ((oi, _, _, _), bound, _, _, _, _, _), _, _, _, _)
-            in rows[start:start + ROW_BLOCK]
-        ]))
+    out.writelines(
+        f'<circle cx="{xs(oi):.6g}" cy="{ys(min(peak, oi * bandwidth)):.6g}" r="4" '
+        f'fill="{CLASS_COLORS[bound]}" stroke="#333"/>\n'
+        for (_, _, _, _, ((oi, _, _, _), bound, _, _, _, _, _), _, _, _, _) in result.rows
+    )
 
     legend_x, legend_y = x1 + 12, y0 + 10
     for i, bound in enumerate(BoundClass):
         canvas.circle(legend_x + 5, legend_y + 18 * i, 4, fill=CLASS_COLORS[bound])
         canvas.text(legend_x + 14, legend_y + 18 * i + 4, bound.value, size=9)
-    canvas.write(out, end=True)
+    canvas.close()
 
 
 def compare_attention_rows(

@@ -26,19 +26,22 @@ def si(value: float) -> str:
 
 
 class Canvas:
-    def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        self._parts: List[str] = []
-        self._started = False
+    """An SVG chart written to `out` as it is drawn and closed by close(); made
+    without `out`, it draws into a string that to_svg returns."""
+
+    def __init__(self, width: int, height: int, out: Optional[TextIO] = None):
+        self._out = io.StringIO() if out is None else out
+        self._out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                        f'height="{height}" viewBox="0 0 {width} {height}">\n'
+                        f'<rect width="{width}" height="{height}" fill="#ffffff"/>\n')
 
     def _element(self, tag, attrs, content=None):
         """Draw one element: its (name, value) pairs in order, numbers through fmt,
         strings verbatim and None left out, then the escaped content, if any."""
         pairs = " ".join(f'{name}="{value if isinstance(value, str) else fmt(value)}"'
                          for name, value in attrs if value is not None)
-        self._parts.append(f"<{tag} {pairs}/>" if content is None
-                           else f"<{tag} {pairs}>{escape(content)}</{tag}>")
+        self._out.write(f"<{tag} {pairs}/>\n" if content is None
+                        else f"<{tag} {pairs}>{escape(content)}</{tag}>\n")
 
     def rect(self, x, y, w, h, fill, stroke=None, opacity=None):
         self._element("rect", [("x", x), ("y", y), ("width", w), ("height", h), ("fill", fill),
@@ -63,26 +66,14 @@ class Canvas:
                                ("font-family", "sans-serif"), ("text-anchor", anchor),
                                ("fill", color), ("transform", transform)], content)
 
-    def to_svg(self) -> str:
-        """The whole chart as one string, rendered through write."""
-        buf = io.StringIO()
-        self.write(buf, end=True)
-        return buf.getvalue()
+    def close(self) -> None:
+        """Write the closing tag."""
+        self._out.write("</svg>\n")
 
-    def write(self, out: TextIO, end: bool = False) -> None:
-        """Stream the chart: the first call writes the <svg> head, every call
-        the parts drawn since the previous one (which are then dropped), and
-        the call with end=True the closing tag. Lines written straight to
-        `out` between two calls land between those parts."""
-        if not self._started:
-            out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-                      f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
-                      f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>\n')
-            self._started = True
-        out.write("".join(f"{part}\n" for part in self._parts))
-        self._parts.clear()
-        if end:
-            out.write("</svg>\n")
+    def to_svg(self) -> str:
+        """Close a canvas drawn without `out` and return the whole chart."""
+        self.close()
+        return self._out.getvalue()
 
 
 def escape(text: str) -> str:

@@ -1,5 +1,5 @@
 """Every single-value input bound of the spec constructors, OperatingPoint and
-the three bounded free functions, one row each.
+the four bounded free functions, one row each.
 
 Each row builds the object with one value changed and gives the value the
 bound admits last, the value it rejects first and the exact ValueError text
@@ -11,7 +11,7 @@ import math
 import pytest
 
 from caproof.analysis import classify, max_feasible_batch
-from caproof.hardware import HardwareSpec, attainable_flops
+from caproof.hardware import HardwareSpec, attainable_flops, ridge_point
 from caproof.metrics import OperatingPoint
 from caproof.model import GQA, MLA, MoESpec, ModelSpec, Phase, flops_per_token
 from caproof.workload import MAX_TURNS, WorkloadSpec
@@ -75,11 +75,25 @@ ROWS = [
 # The one upper bound; NaN and inf meet the field's lower bound first.
 TURNS_CAP = (lambda v: workload(turns=v), MAX_TURNS, MAX_TURNS + 1,
              f"turns must be <= {MAX_TURNS}, got {MAX_TURNS + 1}")
+# The rates a ridge is taken from, bounded on both sides where the precision
+# meets the bandwidth; NaN and inf meet the HardwareSpec bound first.
+ABOVE, BELOW = math.nextafter(1e100, math.inf), math.nextafter(1e-100, 0.0)
+RATE_ROWS = [
+    (lambda v: ridge_point(hardware(peak_flops={8: 2e15, 16: v}), 16), 1e100, ABOVE,
+     "peak_flops[16] must be <= 1e100, got 1.0000000000000002e+100"),
+    (lambda v: ridge_point(hardware(peak_flops={8: 2e15, 16: v}), 16), 1e-100, BELOW,
+     "peak_flops[16] must be >= 1e-100, got 9.999999999999999e-101"),
+    (lambda v: ridge_point(hardware(mem_bandwidth=v), 16), 1e100, ABOVE,
+     "mem_bandwidth must be <= 1e100, got 1.0000000000000002e+100"),
+    (lambda v: ridge_point(hardware(mem_bandwidth=v), 16), 1e-100, BELOW,
+     "mem_bandwidth must be >= 1e-100, got 9.999999999999999e-101"),
+]
 IDS = [f"{i}-" + message.split(" must ")[0] for i, (*_, message) in enumerate(ROWS)]
+RATE_IDS = [f"ridge-{message.split()[0]}-{message.split()[3]}" for *_, message in RATE_ROWS]
 
 
-@pytest.mark.parametrize("build, accepted, rejected, message", ROWS + [TURNS_CAP],
-                         ids=IDS + ["turns-cap"])
+@pytest.mark.parametrize("build, accepted, rejected, message",
+                         ROWS + [TURNS_CAP] + RATE_ROWS, ids=IDS + ["turns-cap"] + RATE_IDS)
 def test_first_rejected_value_has_the_frozen_message(build, accepted, rejected, message):
     build(accepted)
     with pytest.raises(ValueError) as exc:

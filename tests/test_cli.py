@@ -541,6 +541,30 @@ class TestInputBounds:
             "available precisions: 4, 8, 16\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "agent-profile"])
+    @pytest.mark.parametrize("changes, message", [
+        ({"peak_flops": {"16": 3e307}}, "peak_flops[16] must be <= 1e100, got 3e+307"),
+        ({"peak_flops": {"16": 1e308}}, "peak_flops[16] must be <= 1e100, got 1e+308"),
+        ({"mem_bandwidth": 1e-293}, "mem_bandwidth must be >= 1e-100, got 1e-293"),
+        ({"peak_flops": {"16": 1e-300}, "mem_bandwidth": 1e300},
+         "peak_flops[16] must be >= 1e-100, got 1e-300"),
+    ], ids=["peak-axis-overflow", "peak-overflow", "ridge-overflow", "ridge-underflow"])
+    def test_extreme_finite_rates_name_file_and_key(self, command, changes, message, tmp_path,
+                                                    capsys, monkeypatch):
+        """Finite rates whose ridge or roofline axes leave float range."""
+        data = json.loads((Path(caproof.__file__).parent / "catalog" / "hardware"
+                           / "b200-sxm.json").read_text())
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({**data, **changes}))
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["caproof", command, "--model", "dense-70b",
+                                          "--hardware", str(path), "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
     def test_scalar_bound_is_two_to_the_53(self):
         assert parse_scalar(str(2**53)) == 2**53
         assert parse_scalar("-9007199254740992") == -2**53

@@ -4,7 +4,8 @@ Each case picks a command, gives its flags boundary values (0, -1, ",",
 2**53 and 2**53 + 1, huge ranges, duplicates) and may pass a copy of a
 bundled config with one bounded key set to its first rejected value, NaN,
 a number as a string, a wrong type or null. Further cases run a model whose
-weight_bits the hardware has no peak-FLOPs entry for. It runs cli.main in
+weight_bits the hardware has no peak-FLOPs entry for, and then hardware with
+finite rates whose ridge or roofline axes leave float range. It runs cli.main in
 process. The contract: the exit code is 0, 2 or 3 and nothing else escapes
 main; an exit-2 message starts with a flag of the argv or names the config
 file (or its moe, attention or peak_flops object); and a run that exits 2
@@ -68,6 +69,11 @@ BAD_VALUES = [math.nan, math.inf, -math.inf, "NaN", "7", [1], None, True, 2**53 
 # runs, after the CASES runs, that pair a model of such a width with one of them.
 UNRATED_BITS = [2, 32]
 UNRATED_CASES = 100
+# (peak_flops["16"], mem_bandwidth) of b200-sxm copies, None keeping the preset's
+# value: the axes overflow, the ridge overflows, the ridge underflows to 0.0. The
+# runs after the unrated ones give one of them to a command that takes --hardware.
+EXTREME_RATES = [(3e307, None), (1e308, None), (None, 1e-293), (1e-300, 1e300)]
+EXTREME_CASES = 40
 
 
 def mutated_configs(directory: Path) -> dict:
@@ -98,6 +104,19 @@ def unrated_models(directory: Path) -> list:
             path = directory / f"unrated{len(paths)}.json"
             path.write_text(json.dumps({**data, "weight_bits": bits}))
             paths.append(str(path))
+    return paths
+
+
+def extreme_hardware(directory: Path) -> list:
+    """A b200-sxm copy for each pair of EXTREME_RATES."""
+    paths = []
+    for peak, bandwidth in EXTREME_RATES:
+        data = json.loads((CATALOG / "hardware" / "b200-sxm.json").read_text())
+        data["peak_flops"]["16"] = peak or data["peak_flops"]["16"]
+        data["mem_bandwidth"] = bandwidth or data["mem_bandwidth"]
+        path = directory / f"extreme{len(paths)}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
     return paths
 
 
@@ -145,6 +164,18 @@ def unrated_argv(rng: random.Random, files: dict, models: list) -> list:
     return argv
 
 
+def extreme_argv(rng: random.Random, hardware: list) -> list:
+    """A command that takes --hardware, run on a bundled (16-bit) model with an
+    extreme hardware copy and no other fault."""
+    command = rng.choice([name for name, entry in cli.COMMANDS.items() if "hardware" in entry[2]])
+    argv = [command, "--model", rng.choice(PRESETS["model"]), "--hardware", rng.choice(hardware),
+            "--format", rng.choice(["csv", "text", "svg", "csv,svg,text"])]
+    if command == "sweep":
+        argv += rng.choice([["--grid", "B=1..8,L=1k..1m:log"],
+                            ["--workload", rng.choice(PRESETS["workload"])]])
+    return argv
+
+
 def check_case(argv: list, out: Path):
     """(exit code, '') when the run keeps the contract, else (code, what it broke)."""
     sys.argv = ["caproof", *argv, "--out", str(out)]
@@ -178,10 +209,16 @@ def test_every_run_keeps_the_exit_contract(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     files = mutated_configs(tmp_path)
     unrated = unrated_models(tmp_path)
+    extreme = extreme_hardware(tmp_path)
     rng = random.Random(SEED)
     broken, codes = [], []
-    for case in range(CASES + UNRATED_CASES):
-        argv = random_argv(rng, files) if case < CASES else unrated_argv(rng, files, unrated)
+    for case in range(CASES + UNRATED_CASES + EXTREME_CASES):
+        if case < CASES:
+            argv = random_argv(rng, files)
+        elif case < CASES + UNRATED_CASES:
+            argv = unrated_argv(rng, files, unrated)
+        else:
+            argv = extreme_argv(rng, extreme)
         out = tmp_path / f"out{case}"
         code, problem = check_case(argv, out)
         codes.append(code)
@@ -189,6 +226,7 @@ def test_every_run_keeps_the_exit_contract(tmp_path, monkeypatch):
             broken.append(f"{' '.join(argv)}: {problem}")
         shutil.rmtree(out, ignore_errors=True)
     assert all(codes.count(code) >= CASES // 40 for code in (0, 2, 3)), "too few of an exit code"
-    assert set(codes[CASES:]) == {2}, "an unrated model ran"
+    assert set(codes[CASES:CASES + UNRATED_CASES]) == {2}, "an unrated model ran"
+    assert set(codes[CASES + UNRATED_CASES:]) == {2}, "an extreme hardware rate ran"
     assert not broken, f"{len(broken)} of {len(codes)} runs broke the contract:\n" + "\n".join(
         broken[:10])

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from caproof.svg import Canvas, LogScale, escape, fmt, si
@@ -111,3 +113,27 @@ def test_canvas_head_and_part_order():
         '<text x="1" y="2" font-size="11" font-family="sans-serif" text-anchor="start" '
         'fill="#222">a</text>\n</svg>\n'
     )
+
+
+def draw_every_primitive(canvas):
+    canvas.rect(1, 2, 3, 4, fill="#333", stroke="#999", opacity=0.5)
+    canvas.line(0, 0, 10, 10, dash="4 2")
+    canvas.polyline([(0, 0), (1.5, 2.25)], stroke="#f00")
+    canvas.circle(5, 5, 2, fill="#abc", stroke="#000")
+    canvas.text(3, 4, "x<y", rotate=-90)
+
+
+def test_canvas_drawn_into_a_file_writes_as_it_draws():
+    out = io.StringIO()
+    canvas = Canvas(100, 50, out)
+    assert out.getvalue() == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="100" height="50" '
+        'viewBox="0 0 100 50">\n<rect width="100" height="50" fill="#ffffff"/>\n')
+    canvas.circle(1, 2, 3, fill="#000")
+    assert out.getvalue().endswith('<circle cx="1" cy="2" r="3" fill="#000"/>\n')
+    draw_every_primitive(canvas)
+    canvas.close()
+    reference = Canvas(100, 50)
+    reference.circle(1, 2, 3, fill="#000")
+    draw_every_primitive(reference)
+    assert out.getvalue() == reference.to_svg()

@@ -1,9 +1,15 @@
 """Command-line entry point.
 
-Subcommands: analyze, sweep, compare-attention, compare-moe, agent-profile,
-roofline-plot, one entry each in COMMANDS: its flags and a builder that
-returns the command's reports.Report. Outputs are pure functions of the input
-files and flags; two identical invocations produce byte-identical artifacts.
+Each subcommand is one entry in COMMANDS: its flags and a builder that
+returns the command's reports.Report. Three commands share one builder:
+
+    analyze, sweep, roofline-plot   _sweep_command      one sweep report
+    compare-attention               _compare_attention
+    compare-moe                     _compare_moe
+    agent-profile                   _agent_profile
+
+Outputs are pure functions of the input files and flags; two identical
+invocations produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 config error, 3 infeasible analysis (a
 capacity-exceeded point under --strict).
@@ -131,7 +137,7 @@ def _flag(flag: str, read, *values):
 def _model_and_hardware(args):
     """The one --model and the --hardware, which must rate its weight_bits in range."""
     if len(args.model) != 1:
-        raise ConfigError("this command takes exactly one --model")
+        raise ConfigError(f"--model: {args.command} takes exactly one, got {len(args.model)}")
     model = resolve_config(args.model[0], "model", args.allow_unknown_keys)
     hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
     _flag(f"{args.model[0]}: key 'weight_bits'", hw.peak_for, model.weight_bits)
@@ -152,7 +158,7 @@ def _resolve_distinct(args, kind: str, refs: Sequence[str]) -> list:
 def _compared_models(args):
     models = _resolve_distinct(args, "model", args.model)
     if len(models) < 2:
-        raise ConfigError(f"{args.command} needs at least two --model entries")
+        raise ConfigError(f"--model: {args.command} needs at least two, got {len(models)}")
     return models
 
 
@@ -174,32 +180,39 @@ def _one_int(text: Optional[str], default: str, field: str) -> int:
     return _at_least_one([parse_scalar(default if text is None else text)], field)[0]
 
 
-def _check_grid_size(flag: str, phase: Optional[str], batches: List[int],
-                     contexts: List[int]) -> None:
-    """Reject a grid of more than MAX_GRID_ROWS rows before any analysis."""
-    rows = len(_PHASES[phase or "both"]) * len(set(batches)) * len(set(contexts))
-    if rows > MAX_GRID_ROWS:
-        raise ConfigError(f"{flag}: the grid has {rows} rows, more than {MAX_GRID_ROWS}")
-
-
-def _reject_with_workload(args, *flags: str) -> None:
-    """Grid flags are errors next to --workload, even when set to their default."""
-    for flag in flags:
-        if getattr(args, flag) is not None:
-            raise ConfigError(f"--{flag} cannot be combined with --workload: the trace "
-                              "fixes the points and yields both phases")
-
-
-def _sweep_report(args, workload_ref, batches=(), contexts=()) -> reports.Report:
+def _sweep_command(args) -> reports.Report:
     """One model on one hardware over a workload trace or a batch x context
-    grid: the report of analyze, sweep and roofline-plot."""
+    grid: the report of analyze, sweep and roofline-plot. The flags the
+    command has pick the points: --workload, else sweep's --grid, else
+    --batch and --context. Every flag is checked, and the grid's rows
+    counted, before the configs are resolved."""
+    workload_ref, grid = getattr(args, "workload", None), getattr(args, "grid", None)
+    if hasattr(args, "grid") and (grid is None) == (workload_ref is None):
+        raise ConfigError("sweep needs exactly one of --grid or --workload")
+    if workload_ref is not None:
+        for flag in ("phase", "batch", "context"):  # errors even when set to their default
+            if getattr(args, flag, None) is not None:
+                raise ConfigError(f"--{flag} cannot be combined with --workload: the trace "
+                                  "fixes the points and yields both phases")
+    else:
+        if grid is not None:
+            flag, dims = "--grid", _flag("--grid", parse_grid, grid)
+            batches = _flag(flag, _at_least_one, dims.get("B", [1]), "batch_size")
+            contexts = _flag(flag, _at_least_one, dims.get("L", [4096]), "context_len")
+        else:
+            flag = "--batch" if args.batch is not None else "--context"
+            batches = _flag("--batch", _int_list, args.batch, "1", "batch_size")
+            contexts = _flag("--context", _int_list, args.context, "4096", "context_len")
+        phases = _PHASES[args.phase or "both"]
+        rows = len(phases) * len(set(batches)) * len(set(contexts))
+        if rows > MAX_GRID_ROWS:
+            raise ConfigError(f"{flag}: the grid has {rows} rows, more than {MAX_GRID_ROWS}")
     model, hw = _model_and_hardware(args)
     flags = (args.include_activations, args.replicate_weights)
     if workload_ref is not None:
         workload = resolve_config(workload_ref, "workload", args.allow_unknown_keys)
         result = sweep_workload(model, hw, workload, *flags)
     else:
-        phases = _PHASES[args.phase or "both"]
         result = sweep_grid(model, hw, batches, contexts, phases, *flags)
     return reports.Report(
         csv=lambda out: reports.write_sweep_csv(result, out),
@@ -207,34 +220,6 @@ def _sweep_report(args, workload_ref, batches=(), contexts=()) -> reports.Report
         svg=lambda out: reports.roofline_svg(model, hw, result, out),
         exceeded=any(r.analysis.bound_class is BoundClass.CAPACITY_EXCEEDED for r in result.rows),
     )
-
-
-def _analyze(args) -> reports.Report:
-    batches = _flag("--batch", _int_list, args.batch, "1", "batch_size")
-    contexts = _flag("--context", _int_list, args.context, "4096", "context_len")
-    _check_grid_size("--batch" if args.batch is not None else "--context", args.phase,
-                     batches, contexts)
-    return _sweep_report(args, None, batches, contexts)
-
-
-def _roofline_plot(args) -> reports.Report:
-    if args.workload is None:
-        return _analyze(args)
-    _reject_with_workload(args, "phase", "batch", "context")
-    return _sweep_report(args, args.workload)
-
-
-def _sweep(args) -> reports.Report:
-    if (args.grid is None) == (args.workload is None):
-        raise ConfigError("sweep needs exactly one of --grid or --workload")
-    if args.workload is not None:
-        _reject_with_workload(args, "phase")
-        return _sweep_report(args, args.workload)
-    grid = _flag("--grid", parse_grid, args.grid)
-    batches = _flag("--grid", _at_least_one, grid.get("B", [1]), "batch_size")
-    contexts = _flag("--grid", _at_least_one, grid.get("L", [4096]), "context_len")
-    _check_grid_size("--grid", args.phase, batches, contexts)
-    return _sweep_report(args, None, batches, contexts)
 
 
 def _context_axis(text: str) -> List[int]:
@@ -307,9 +292,9 @@ _POINT_FLAGS = {"strict": {}, "include-activations": {}, "replicate-weights": {}
 
 # command -> (help, builder returning its Report, {flag: overrides of _FLAGS[flag]})
 COMMANDS = {
-    "analyze": ("classify one or a few operating points", _analyze,
+    "analyze": ("classify one or a few operating points", _sweep_command,
                 {"hardware": {}, "phase": {}, "batch": {}, "context": {}, **_POINT_FLAGS}),
-    "sweep": ("grid or workload-driven sweep", _sweep,
+    "sweep": ("grid or workload-driven sweep", _sweep_command,
               {"hardware": {}, "phase": {}, "grid": {}, "workload": {}, **_POINT_FLAGS}),
     "compare-attention": ("footprint vs context across attention variants", _compare_attention,
                           {"batch": {"help": "one batch size (default 1)"},
@@ -324,7 +309,7 @@ COMMANDS = {
                        "workload": {"action": "append",
                                     "help": "repeatable; defaults to every bundled workload preset"},
                        **_POINT_FLAGS}),
-    "roofline-plot": ("roofline with classified workload points", _roofline_plot,
+    "roofline-plot": ("roofline with classified workload points", _sweep_command,
                       {"hardware": {}, "phase": {},
                        "workload": {"help": "derive points from a workload trace"},
                        "batch": {}, "context": {}, **_POINT_FLAGS}),

@@ -36,6 +36,7 @@ class HardwareSpec:
             _bound(f"peak_flops[{bits}]", rate, "> 0")
         _bound("mem_bandwidth", self.mem_bandwidth, "> 0")
         _bound("mem_capacity", self.mem_capacity, ">= 1 byte")
+        _bound("mem_capacity", self.mem_capacity, "<= 1e100")
         _bound("num_devices", self.num_devices, ">= 1")
 
     def peak_for(self, bits: int) -> float:

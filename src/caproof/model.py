@@ -248,15 +248,6 @@ def weight_bytes(spec: ModelSpec) -> float:
     return spec.costs.weight_bits / 8
 
 
-def kv_bits_per_token(spec: ModelSpec) -> int:
-    """Cached bits per token across all layers.
-
-    MHA stores K and V per head, GQA per KV head; MLA stores one latent
-    (+rope) vector per token regardless of head count.
-    """
-    return spec.costs.kv_bits
-
-
 def kv_bytes_per_token(spec: ModelSpec) -> float:
     return spec.costs.kv_bits / 8
 

@@ -72,7 +72,7 @@ ROWS = [
      "context_len must be >= 1, got 0"),
     (lambda v: attainable_flops(hardware(), 16, v), 5e-324, 0.0, "oi must be > 0, got 0.0"),
 ]
-# The one upper bound; NaN and inf meet the field's lower bound first.
+# The turns cap; NaN and inf meet the field's lower bound first.
 TURNS_CAP = (lambda v: workload(turns=v), MAX_TURNS, MAX_TURNS + 1,
              f"turns must be <= {MAX_TURNS}, got {MAX_TURNS + 1}")
 # The rates a ridge is taken from, bounded on both sides where the precision
@@ -90,10 +90,15 @@ RATE_ROWS = [
 ]
 IDS = [f"{i}-" + message.split(" must ")[0] for i, (*_, message) in enumerate(ROWS)]
 RATE_IDS = [f"ridge-{message.split()[0]}-{message.split()[3]}" for *_, message in RATE_ROWS]
+# The capacity cap, under which the largest per-device batch is a float; NaN
+# and inf meet the field's lower bound first.
+CAPACITY_CAP = (lambda v: hardware(mem_capacity=v), 1e100, ABOVE,
+                "mem_capacity must be <= 1e100, got 1.0000000000000002e+100")
 
 
 @pytest.mark.parametrize("build, accepted, rejected, message",
-                         ROWS + [TURNS_CAP] + RATE_ROWS, ids=IDS + ["turns-cap"] + RATE_IDS)
+                         ROWS + [TURNS_CAP] + RATE_ROWS + [CAPACITY_CAP],
+                         ids=IDS + ["turns-cap"] + RATE_IDS + ["capacity-cap"])
 def test_first_rejected_value_has_the_frozen_message(build, accepted, rejected, message):
     build(accepted)
     with pytest.raises(ValueError) as exc:

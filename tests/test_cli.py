@@ -356,6 +356,45 @@ class TestFlags:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--model", "dense-70b", "--hardware", "b200-sxm", "--grid", "L=4k",
+          "--workload", "chatbot"], "sweep needs exactly one of --grid or --workload"),
+        (["sweep", "--model", "dense-70b", "--hardware", "b200-sxm"],
+         "sweep needs exactly one of --grid or --workload"),
+        (["analyze", "--model", "dense-70b", "--model", "moe-256e", "--hardware", "b200-sxm"],
+         "--model: analyze takes exactly one, got 2"),
+        (["sweep", "--model", "dense-70b", "--model", "moe-256e", "--hardware", "b200-sxm",
+          "--grid", "L=4k"], "--model: sweep takes exactly one, got 2"),
+        (["sweep", "--model", "dense-70b", "--model", "moe-256e", "--hardware", "b200-sxm",
+          "--workload", "chatbot"], "--model: sweep takes exactly one, got 2"),
+        (["roofline-plot", "--model", "dense-70b", "--model", "moe-256e",
+          "--hardware", "b200-sxm"], "--model: roofline-plot takes exactly one, got 2"),
+        (["roofline-plot", "--model", "dense-70b", "--model", "moe-256e",
+          "--hardware", "b200-sxm", "--workload", "chatbot"],
+         "--model: roofline-plot takes exactly one, got 2"),
+        (["agent-profile", "--model", "dense-70b", "--model", "moe-256e",
+          "--hardware", "b200-sxm"], "--model: agent-profile takes exactly one, got 2"),
+        (["compare-attention", "--model", "mha-48x2048"],
+         "--model: compare-attention needs at least two, got 1"),
+        (["compare-moe", "--model", "dense-70b"], "--model: compare-moe needs at least two, got 1"),
+        # the points are checked before the models are counted
+        (["analyze", "--model", "dense-70b", "--model", "moe-256e", "--hardware", "b200-sxm",
+          "--batch", "0"], "--batch: batch_size must be >= 1, got 0"),
+        (["sweep", "--model", "dense-70b", "--model", "moe-256e", "--hardware", "b200-sxm",
+          "--workload", "chatbot", "--phase", "both"],
+         "--phase cannot be combined with --workload: the trace fixes the points and yields "
+         "both phases"),
+    ])
+    def test_sweep_and_model_count_errors_write_nothing(self, argv, message, tmp_path, capsys,
+                                                        monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["caproof", *argv, "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_compare_sorts_and_dedupes_grid_values(self, tmp_path):
         attention = self.csv_rows(tmp_path, ["compare-attention", "--model", "mha-48x2048",
                                              "--model", "gqa8-48x2048", "--grid", "L=8k,1k,8k"],
@@ -563,6 +602,28 @@ class TestInputBounds:
             main()
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "agent-profile"])
+    def test_capacity_beyond_1e100_names_file_and_key(self, command, tmp_path, capsys,
+                                                      monkeypatch):
+        """A capacity whose largest per-device batch no float holds."""
+        data = json.loads((Path(caproof.__file__).parent / "catalog" / "hardware"
+                           / "b200-sxm.json").read_text())
+        hardware = tmp_path / "huge.json"
+        hardware.write_text(json.dumps({**data, "mem_capacity": 1.7e308}))
+        model = tmp_path / "tiny.json"
+        model.write_text(json.dumps({"type": "model", "name": "tiny", "num_layers": 1,
+                                     "d_model": 1, "num_heads": 1, "d_ff": 1, "head_dim": 1,
+                                     "kv_bits": 2}))
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["caproof", command, "--model", str(model),
+                                          "--hardware", str(hardware), "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (f"error: {hardware}: mem_capacity must be "
+                                           "<= 1e100, got 1.7e+308\n")
         assert not out.exists()
 
     def test_scalar_bound_is_two_to_the_53(self):

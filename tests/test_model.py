@@ -14,7 +14,6 @@ from caproof.model import (
     activated_params,
     embedding_params,
     flops_per_token,
-    kv_bits_per_token,
     kv_bytes_per_token,
     total_params,
     weight_bytes,
@@ -217,7 +216,6 @@ class TestModelCosts:
             assert costs.matmul_weights == activated_params(spec) - embedding_params(spec)
             assert costs.matmul_weights == (params_oracle(spec, True)
                                             - spec.vocab_size * spec.d_model)
-            assert costs.kv_bits == kv_bits_per_token(spec)
             assert costs.kv_bits / 8 == kv_bytes_per_token_oracle(spec)
             assert costs.attn == spec.num_layers * spec.num_heads * spec.head_dim
             assert costs.act_bytes == 2 * spec.num_layers * spec.d_model * spec.weight_bits / 8

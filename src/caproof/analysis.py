@@ -97,23 +97,21 @@ def min_devices(
                          _device_capacity_bits(hw), point.batch_size, replicate_weights)
 
 
-def _verdict(metrics: PhaseMetrics, column: tuple, devices: int, ridge: float,
-             compute_rate: float, bandwidth: float, num_devices: int) -> PhaseAnalysis:
-    """README rules 1-4 at one point, given the verdict of its (phase, L)
-    column, (bound_class, rate, mfu, mbu, max_feasible_batch), and the
-    compute-bound tokens/s, peak / flops_per_token * num_devices."""
-    bound, rate, mfu, mbu, feasible = column
+def _verdict(metrics: tuple, column: tuple, ridge: float, compute_rate: float,
+             bandwidth: float, num_devices: int) -> tuple:
+    """README rules 1-4 at one point: its (bound_class, rate, mfu, mbu), given
+    its (oi, cf, flops_per_token, bytes_per_token), the verdict of its
+    (phase, L) column, (bound_class, rate, mfu, mbu), and the compute-bound
+    tokens/s, peak / flops_per_token * num_devices."""
+    bound = column[0]
     if bound is BoundClass.CAPACITY_EXCEEDED:  # no attainable rate, mfu or mbu
-        return PhaseAnalysis(metrics, bound, 0.0, 0.0, 0.0, feasible, devices)
-    oi = metrics.oi
+        return column
+    oi = metrics[0]
     if oi >= ridge:
-        return PhaseAnalysis(metrics, BoundClass.COMPUTE_BOUND, compute_rate, 1.0, ridge / oi,
-                             feasible, devices)
+        return BoundClass.COMPUTE_BOUND, compute_rate, 1.0, ridge / oi
     if bound is BoundClass.CAPACITY_LIMITED:  # the best reachable rate, mfu and mbu
-        return PhaseAnalysis(metrics, bound, rate, mfu, mbu, feasible, devices)
-    return PhaseAnalysis(metrics, BoundClass.BANDWIDTH_BOUND,
-                         oi * bandwidth / metrics.flops_per_token * num_devices, oi / ridge, 1.0,
-                         feasible, devices)
+        return column
+    return BoundClass.BANDWIDTH_BOUND, oi * bandwidth / metrics[2] * num_devices, oi / ridge, 1.0
 
 
 def classify(
@@ -150,27 +148,39 @@ def classify(
     feasible = _feasible_batch(weights, kv_bits, cap_dev, hw.num_devices, replicate_weights)
     devices = _device_count(weights, kv_bits, cap_dev, point.batch_size, replicate_weights)
     if weights + kv_bits > cap_dev:
-        column = (BoundClass.CAPACITY_EXCEEDED, 0.0, 0.0, 0.0, feasible)
+        column = (BoundClass.CAPACITY_EXCEEDED, 0.0, 0.0, 0.0)
     else:
         best_oi = _metrics(costs, phase, length, (cap_dev - weights) // kv_bits,
                            include_activations, flops)[0]
         column = (BoundClass.BANDWIDTH_BOUND if best_oi >= ridge else BoundClass.CAPACITY_LIMITED,
-                  best_oi * hw.mem_bandwidth / flops * hw.num_devices, best_oi / ridge, 1.0,
-                  feasible)
-    return _verdict(metrics, column, devices, ridge, hw.peak_for(bits) / flops * hw.num_devices,
-                    hw.mem_bandwidth, hw.num_devices)
+                  best_oi * hw.mem_bandwidth / flops * hw.num_devices, best_oi / ridge, 1.0)
+    return PhaseAnalysis(metrics, *_verdict(metrics, column, ridge,
+                                            hw.peak_for(bits) / flops * hw.num_devices,
+                                            hw.mem_bandwidth, hw.num_devices),
+                         feasible, devices)
 
 
 class SweepRow(NamedTuple):
+    """A sweep point or workload total: the sweep CSV's columns, in CSV order."""
+
     row_kind: str  # "point" or "workload_total"
+    workload: str  # "" on grid rows
+    turn_index: Optional[int]  # None on grid rows and totals
     phase: Phase
     batch_size: int
     context_len: int
-    analysis: PhaseAnalysis
-    workload: str = ""
-    turn_index: Optional[int] = None
-    prefill_total_tokens: Optional[int] = None
-    decode_total_tokens: Optional[int] = None
+    oi: float
+    cf_bytes: float
+    flops_per_token: float
+    bytes_per_token: float
+    bound_class: BoundClass
+    attainable_tokens_per_s: float
+    mfu_est: float
+    mbu_est: float
+    max_feasible_batch: int
+    min_devices: int
+    prefill_total_tokens: Optional[int]  # set on workload_total rows only
+    decode_total_tokens: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -189,15 +199,17 @@ def sweep_grid(
     include_activations: bool = False,
     replicate_weights: bool = False,
 ) -> SweepResult:
-    """One PhaseAnalysis per (phase, batch, context) grid point, in phase ->
-    batch -> context order, each equal to classify's at that point.
+    """One SweepRow per (phase, batch, context) grid point, in phase ->
+    batch -> context order, its metrics and verdict equal to classify's at
+    that point.
 
     classify runs once per (phase, L) column, at the smallest batch: whether
     one request fits and whether some per-device-feasible batch reaches the
     ridge depend on L alone, and OI never falls as the batch grows (weight
     bytes per token are W/B + c). Every larger batch of the column is judged
-    by _verdict against the head's verdict, and no OperatingPoint is built
-    for it.
+    by _verdict against the head's verdict, and its row is built from
+    _metrics's four floats, with no OperatingPoint, PhaseMetrics or
+    PhaseAnalysis.
     """
     if not batch_sizes or not context_lens:
         raise ValueError("sweep grid must be non-empty")
@@ -215,17 +227,19 @@ def sweep_grid(
         columns = []
         for length in lengths:
             head = classify(spec, hw, OperatingPoint(length, batches[0], phase), *flags)
-            rows.append(SweepRow("point", phase, batches[0], length, head))
+            rows.append(SweepRow("point", "", None, phase, batches[0], length, *head.metrics,
+                                 *head[1:], None, None))
             flops = head.metrics.flops_per_token
             columns.append((length, costs.kv_bits * length, flops, peak / flops * num_devices,
-                            head[1:6]))
+                            head[1:5], head.max_feasible_batch))
         for batch in batches[1:]:
-            for length, kv_bits, flops, compute_rate, column in columns:
-                metrics = PhaseMetrics(*_metrics(costs, phase, length, batch,
-                                                 include_activations, flops))
-                devices = _device_count(weights, kv_bits, cap_dev, batch, replicate_weights)
-                rows.append(SweepRow("point", phase, batch, length, _verdict(
-                    metrics, column, devices, ridge, compute_rate, bandwidth, num_devices)))
+            for length, kv_bits, flops, compute_rate, column, feasible in columns:
+                metrics = _metrics(costs, phase, length, batch, include_activations, flops)
+                rows.append(SweepRow(
+                    "point", "", None, phase, batch, length, *metrics,
+                    *_verdict(metrics, column, ridge, compute_rate, bandwidth, num_devices),
+                    feasible, _device_count(weights, kv_bits, cap_dev, batch, replicate_weights),
+                    None, None))
     return SweepResult(model=spec.name, hardware=hw.name, rows=tuple(rows))
 
 
@@ -244,20 +258,21 @@ def sweep_workload(
     batch = workload.batch_size
     flags = (include_activations, replicate_weights)
 
-    def row(kind: str, phase: Phase, context_len: int, **totals) -> SweepRow:
-        analysis = classify(spec, hw, OperatingPoint(context_len, batch, phase), *flags)
-        return SweepRow(kind, phase, batch, context_len, analysis, workload.name, **totals)
+    def row(kind: str, turn: Optional[int], phase: Phase, context_len: int,
+            totals: tuple = (None, None)) -> SweepRow:
+        head = classify(spec, hw, OperatingPoint(context_len, batch, phase), *flags)
+        return SweepRow(kind, workload.name, turn, phase, batch, context_len, *head.metrics,
+                        *head[1:], *totals)
 
     rows: List[SweepRow] = []
     for record in trace.records:
         turn = record.turn_index
         if record.prefill_tokens > 0:
             end = record.prefill_start_context + record.prefill_tokens
-            rows.append(row("point", Phase.PREFILL, end, turn_index=turn))
+            rows.append(row("point", turn, Phase.PREFILL, end))
         if record.decode_tokens > 0:
-            rows.append(row("point", Phase.DECODE, record.cumulative_context, turn_index=turn))
-    prefill_total, decode_total = total_tokens(trace)
+            rows.append(row("point", turn, Phase.DECODE, record.cumulative_context))
+    totals = total_tokens(trace)
     for phase in (Phase.PREFILL, Phase.DECODE):
-        rows.append(row("workload_total", phase, trace.final_context,
-                        prefill_total_tokens=prefill_total, decode_total_tokens=decode_total))
+        rows.append(row("workload_total", None, phase, trace.final_context, totals))
     return SweepResult(model=spec.name, hardware=hw.name, rows=tuple(rows))

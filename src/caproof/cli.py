@@ -187,15 +187,15 @@ def _sweep_command(args) -> reports.Report:
     --batch and --context. Every flag is checked, and the grid's rows
     counted, before the configs are resolved."""
     workload_ref, grid = getattr(args, "workload", None), getattr(args, "grid", None)
-    if hasattr(args, "grid") and (grid is None) == (workload_ref is None):
-        raise ConfigError("sweep needs exactly one of --grid or --workload")
     if workload_ref is not None:
-        for flag in ("phase", "batch", "context"):  # errors even when set to their default
+        for flag in ("grid", "phase", "batch", "context"):  # errors even when set to their default
             if getattr(args, flag, None) is not None:
                 raise ConfigError(f"--{flag} cannot be combined with --workload: the trace "
                                   "fixes the points and yields both phases")
     else:
-        if grid is not None:
+        if hasattr(args, "grid"):
+            if grid is None:
+                raise ConfigError("--grid or --workload is required")
             flag, dims = "--grid", _flag("--grid", parse_grid, grid)
             batches = _flag(flag, _at_least_one, dims.get("B", [1]), "batch_size")
             contexts = _flag(flag, _at_least_one, dims.get("L", [4096]), "context_len")
@@ -218,7 +218,7 @@ def _sweep_command(args) -> reports.Report:
         csv=lambda out: reports.write_sweep_csv(result, out),
         text=lambda out: reports.sweep_text(result, out),
         svg=lambda out: reports.roofline_svg(model, hw, result, out),
-        exceeded=any(r.analysis.bound_class is BoundClass.CAPACITY_EXCEEDED for r in result.rows),
+        exceeded=any(r.bound_class is BoundClass.CAPACITY_EXCEEDED for r in result.rows),
     )
 
 

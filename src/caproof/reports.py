@@ -1,6 +1,7 @@
 """Report builders: text tables, CSV, and self-contained SVG charts. This
-module owns every artifact format, the sweep CSV schema included; sweep
-artifacts are written to their file as they are rendered, a line per row.
+module owns every artifact format; the sweep CSV's columns are the fields of
+analysis.SweepRow. Sweep artifacts are written to their file as they are
+rendered, a line per row.
 
 Four chart types: the capacity-extended roofline with classified workload
 points, capacity-footprint-vs-context curves per attention variant,
@@ -16,7 +17,7 @@ import io
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence, TextIO
 
-from .analysis import BoundClass, SweepResult, sweep_workload
+from .analysis import BoundClass, SweepResult, SweepRow, sweep_workload
 from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, cf_request, decode_metrics
 from .model import ModelSpec, Phase, kv_bytes_per_token, weight_bytes
@@ -31,26 +32,8 @@ CLASS_COLORS = {
 }
 SERIES_COLORS = ["#3182ce", "#d69e2e", "#38a169", "#805ad5", "#dd6b20", "#319795"]
 
-CSV_COLUMNS = (
-    "row_kind",
-    "workload",
-    "turn_index",
-    "phase",
-    "batch_size",
-    "context_len",
-    "oi",
-    "cf_bytes",
-    "flops_per_token",
-    "bytes_per_token",
-    "bound_class",
-    "attainable_tokens_per_s",
-    "mfu_est",
-    "mbu_est",
-    "max_feasible_batch",
-    "min_devices",
-    "prefill_total_tokens",
-    "decode_total_tokens",
-)
+CSV_COLUMNS = SweepRow._fields
+
 
 @dataclass(frozen=True)
 class Report:
@@ -118,9 +101,8 @@ def write_sweep_csv(result: SweepResult, out: TextIO) -> None:
         f"{ints[feasible]},{devices},"
         f"{'' if prefill_total is None else prefill_total},"
         f"{'' if decode_total is None else decode_total}\n"
-        for (kind, phase, batch, length,
-             ((oi, cf, flops, nbytes), bound, rate, mfu, mbu, feasible, devices),
-             workload, turn, prefill_total, decode_total) in result.rows
+        for (kind, workload, turn, phase, batch, length, oi, cf, flops, nbytes, bound, rate,
+             mfu, mbu, feasible, devices, prefill_total, decode_total) in result.rows
     )
 
 
@@ -144,7 +126,7 @@ def sweep_text(result: SweepResult, out: TextIO) -> None:
     out.writelines(
         f"{kind:<15}{phases[phase]}{batch:>6}{lengths[length]}{oi:>12.6g}{cf:>12.6g}"
         f"  {bounds[bound]}{rates[rate]}{ratios[mfu]}{ratios[mbu]}\n"
-        for (kind, phase, batch, length, ((oi, cf, _, _), bound, rate, mfu, mbu, _, _),
+        for (kind, _, _, phase, batch, length, oi, cf, _, _, bound, rate, mfu, mbu,
              _, _, _, _) in result.rows
     )
 
@@ -157,7 +139,7 @@ def roofline_svg(model: ModelSpec, hw: HardwareSpec, result: SweepResult, out: T
     peak = hw.peak_for(bits)
     bandwidth = hw.mem_bandwidth
     ridge = ridge_point(hw, bits)
-    ois = [row.analysis.metrics.oi for row in result.rows]
+    ois = [row.oi for row in result.rows]
     lo = min(min(ois), ridge) / 4
     hi = max(max(ois), ridge) * 4
 
@@ -185,7 +167,7 @@ def roofline_svg(model: ModelSpec, hw: HardwareSpec, result: SweepResult, out: T
     out.writelines(
         f'<circle cx="{xs(oi):.6g}" cy="{ys(min(peak, oi * bandwidth)):.6g}" r="4" '
         f'fill="{CLASS_COLORS[bound]}" stroke="#333"/>\n'
-        for (_, _, _, _, ((oi, _, _, _), bound, _, _, _, _, _), _, _, _, _) in result.rows
+        for (_, _, _, _, _, _, oi, _, _, _, bound, _, _, _, _, _, _, _) in result.rows
     )
 
     legend_x, legend_y = x1 + 12, y0 + 10
@@ -359,12 +341,12 @@ def agent_profile_rows(
                 "prefill_total_tokens": decode.prefill_total_tokens,
                 "decode_total_tokens": decode.decode_total_tokens,
                 "final_context": decode.context_len,
-                "cf_bytes": decode.analysis.metrics.cf,
-                "prefill_oi": prefill.analysis.metrics.oi,
-                "decode_oi": decode.analysis.metrics.oi,
-                "prefill_class": prefill.analysis.bound_class.value,
-                "decode_class": decode.analysis.bound_class.value,
-                "min_devices_decode": decode.analysis.min_devices,
+                "cf_bytes": decode.cf_bytes,
+                "prefill_oi": prefill.oi,
+                "decode_oi": decode.oi,
+                "prefill_class": prefill.bound_class.value,
+                "decode_class": decode.bound_class.value,
+                "min_devices_decode": decode.min_devices,
             }
         )
     return rows

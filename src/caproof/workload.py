@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 from .model import _bound
 
-# Rows one sweep may hold: about 1 GB at ~500 bytes a row.
+# Rows one sweep may hold: about 570 MB at 283 bytes a row (tracemalloc, 128k grid).
 MAX_SWEEP_ROWS = 2_000_000
 MAX_TURNS = (MAX_SWEEP_ROWS - 2) // 2  # a prefill and a decode row a turn, two totals
 

@@ -250,7 +250,9 @@ class TestSweep:
         result = sweep_grid(spec, hw, [4], [2048], phases=(Phase.DECODE,))
         assert len(result.rows) == 1
         row = result.rows[0]
-        assert row.analysis == classify(spec, hw, OperatingPoint(2048, 4, Phase.DECODE))
+        assert row[:6] == ("point", "", None, Phase.DECODE, 4, 2048)
+        assert row[6:16] == flat(classify(spec, hw, OperatingPoint(2048, 4, Phase.DECODE)))
+        assert row[16:] == (None, None)
 
     def test_attention_variant_curves_ordered(self):
         hw = make_hw(2.25e15, 8e12, 192e9)
@@ -259,7 +261,7 @@ class TestSweep:
         for attention in (MHA(), GQA(num_kv_heads=8), MLA(d_latent=512, d_rope=64)):
             spec = ref48_spec(attention)
             result = sweep_grid(spec, hw, [1], lengths, phases=(Phase.DECODE,))
-            curve = [row.analysis.metrics.cf for row in result.rows]
+            curve = [row.cf_bytes for row in result.rows]
             assert curve == sorted(curve)  # monotone in context
             curves[spec.attention.kind] = curve
         for i in range(len(lengths)):
@@ -324,6 +326,26 @@ class TestSweep:
         assert [(r.prefill_total_tokens, r.decode_total_tokens) for r in totals] == [
             (3 * prefill, 3 * decode)] * 2
 
+    @pytest.mark.parametrize("include_activations", [False, True])
+    @pytest.mark.parametrize("replicate_weights", [False, True])
+    def test_workload_rows_equal_classify(self, include_activations, replicate_weights):
+        rng = random.Random(30 + 2 * include_activations + replicate_weights)
+        flags = (include_activations, replicate_weights)
+        seen = set()
+        for _ in range(40):
+            spec = random_model(rng)
+            workload = WorkloadSpec("w", turns=rng.randint(1, 4),
+                                    prefill_tokens_per_turn=rng.randint(1, 20_000),
+                                    decode_tokens_per_turn=rng.randint(0, 2_000),
+                                    batch_size=rng.randint(1, 64))
+            hw = boundary_hardware(rng, spec, OperatingPoint(
+                rng.randint(1, 50_000), workload.batch_size, Phase.DECODE), include_activations)
+            for row in sweep_workload(spec, hw, workload, *flags).rows:
+                point = OperatingPoint(row.context_len, row.batch_size, row.phase)
+                assert row[6:16] == flat(classify(spec, hw, point, *flags))
+                seen.add(row.bound_class)
+        assert len(seen) >= 3
+
     def test_empty_grid_rejected(self):
         spec = ref48_spec()
         hw = make_hw(1e12, 1e12, 1e12)
@@ -359,7 +381,7 @@ class TestCostsDerivedOncePerSpec:
         lengths = [2**i for i in range(5, 21)]
         result = sweep_grid(ref48_spec(), hw, range(1, 33), lengths)
         assert len(result.rows) == 2 * 32 * 16
-        assert len({r.analysis.bound_class for r in result.rows}) == 4
+        assert len({r.bound_class for r in result.rows}) == 4
         assert len(total_params_calls) <= 2
 
     def test_workload_sweep(self, total_params_calls):
@@ -388,29 +410,46 @@ class TestLeanPerPointPath:
         lengths = [2**i for i in range(1, 17)]
         result = sweep_grid(ref48_spec(), hw, range(1, 65), lengths, phases=(Phase.DECODE,))
         assert len(result.rows) == 1024
-        assert {r.analysis.bound_class for r in result.rows} == {
+        assert {r.bound_class for r in result.rows} == {
             BoundClass.BANDWIDTH_BOUND, BoundClass.CAPACITY_LIMITED}
         assert calls == []
 
     def test_result_fields_are_read_only(self):
-        hw = make_hw(2.25e15, 8e12, 192e9)
-        row = sweep_grid(ref48_spec(), hw, [1], [4096]).rows[0]
-        for value in (row, row.analysis, row.analysis.metrics):
+        """A sweep row is one flat tuple: every field is read-only and none
+        holds a tuple; classify's two result types are read-only too."""
+        spec, hw = ref48_spec(), make_hw(2.25e15, 8e12, 192e9)
+        workload = WorkloadSpec("w", turns=2, prefill_tokens_per_turn=100,
+                                decode_tokens_per_turn=10)
+        rows = (sweep_grid(spec, hw, [1, 2], [4096]).rows
+                + sweep_workload(spec, hw, workload).rows)
+        assert {row.row_kind for row in rows} == {"point", "workload_total"}
+        result = classify(spec, hw, OperatingPoint(4096, 1, Phase.DECODE))
+        for value in (*rows, result, result.metrics):
             for name in type(value)._fields:
                 with pytest.raises(AttributeError):
                     setattr(value, name, None)
+        for row in rows:
+            assert not any(isinstance(value, tuple) for value in row), row
 
     def test_field_order_is_the_dataclass_order(self):
+        """The result types keep their field order; a sweep row's fields are
+        the sweep CSV's columns, in CSV order, each given at construction."""
         assert PhaseMetrics._fields == ("oi", "cf", "flops_per_token", "bytes_per_token")
         assert PhaseAnalysis._fields == (
             "metrics", "bound_class", "attainable_tokens_per_s", "mfu_est", "mbu_est",
             "max_feasible_batch", "min_devices")
         assert SweepRow._fields == (
-            "row_kind", "phase", "batch_size", "context_len", "analysis", "workload",
-            "turn_index", "prefill_total_tokens", "decode_total_tokens")
-        assert SweepRow._field_defaults == {
-            "workload": "", "turn_index": None, "prefill_total_tokens": None,
-            "decode_total_tokens": None}
+            "row_kind", "workload", "turn_index", "phase", "batch_size", "context_len",
+            "oi", "cf_bytes", "flops_per_token", "bytes_per_token", "bound_class",
+            "attainable_tokens_per_s", "mfu_est", "mbu_est", "max_feasible_batch",
+            "min_devices", "prefill_total_tokens", "decode_total_tokens")
+        assert SweepRow._fields == reports.CSV_COLUMNS
+        assert SweepRow._field_defaults == {}
+
+
+def flat(result: PhaseAnalysis) -> tuple:
+    """classify's result as the ten sweep-row fields from oi to min_devices."""
+    return (*result.metrics, *result[1:])
 
 
 def boundary_hardware(rng: random.Random, spec: ModelSpec, point: OperatingPoint,
@@ -509,11 +548,12 @@ class TestSweepGridColumns:
                 (p, b, n) for p in Phase for b in sorted(batches) for n in sorted(lengths)]
             for row in result.rows:
                 point = OperatingPoint(row.context_len, row.batch_size, row.phase)
-                assert row.analysis == classify(spec, hw, point, *flags)
+                assert row[:3] == ("point", "", None) and row[16:] == (None, None)
+                assert row[6:16] == flat(classify(spec, hw, point, *flags))
             per_phase = len(batches) * len(lengths)
             for start in range(0, len(result.rows), per_phase):
                 for offset in range(len(lengths)):  # one (phase, L) column, batch ascending
-                    column = [row.analysis.bound_class for row in
+                    column = [row.bound_class for row in
                               result.rows[start + offset:start + per_phase:len(lengths)]]
                     heads.add(column[0])
                     if (column[0] is BoundClass.CAPACITY_LIMITED
@@ -523,7 +563,9 @@ class TestSweepGridColumns:
         assert turned_compute_bound == set(Phase)
 
     def test_one_classify_per_column_and_no_point_per_row(self, monkeypatch):
-        calls, points = [], []
+        """Only the column heads build an OperatingPoint, a PhaseMetrics and a
+        PhaseAnalysis; every other row is built from _metrics's floats."""
+        calls, points, built = [], [], []
         original = analysis.classify
 
         def counting(spec, hw, point, *flags):
@@ -536,11 +578,20 @@ class TestSweepGridColumns:
             points.append(point)
             checked(point)
 
+        def recorded(result_type):
+            def build(*fields):
+                built.append(result_type)
+                return result_type(*fields)
+            return build
+
         monkeypatch.setattr(analysis, "classify", counting)
         monkeypatch.setattr(OperatingPoint, "__post_init__", counted)
+        for result_type in (PhaseMetrics, PhaseAnalysis):
+            monkeypatch.setattr(analysis, result_type.__name__, recorded(result_type))
         lengths = [2**i for i in range(5, 21)]
         result = sweep_grid(ref48_spec(), make_hw(2.25e15, 8e12, 192e9), range(3, 35), lengths)
         assert len(result.rows) == 2 * 32 * 16
-        assert len({r.analysis.bound_class for r in result.rows}) == 4
+        assert len({r.bound_class for r in result.rows}) == 4
         assert calls == [(phase, 3, length) for phase in Phase for length in lengths]
         assert len(points) == len(calls)
+        assert built == [PhaseMetrics, PhaseAnalysis] * len(calls)

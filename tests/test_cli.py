@@ -358,9 +358,11 @@ class TestFlags:
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--model", "dense-70b", "--hardware", "b200-sxm", "--grid", "L=4k",
-          "--workload", "chatbot"], "sweep needs exactly one of --grid or --workload"),
+          "--workload", "chatbot"],
+         "--grid cannot be combined with --workload: the trace fixes the points and yields "
+         "both phases"),
         (["sweep", "--model", "dense-70b", "--hardware", "b200-sxm"],
-         "sweep needs exactly one of --grid or --workload"),
+         "--grid or --workload is required"),
         (["analyze", "--model", "dense-70b", "--model", "moe-256e", "--hardware", "b200-sxm"],
          "--model: analyze takes exactly one, got 2"),
         (["sweep", "--model", "dense-70b", "--model", "moe-256e", "--hardware", "b200-sxm",

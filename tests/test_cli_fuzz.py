@@ -5,11 +5,12 @@ Each case picks a command, gives its flags boundary values (0, -1, ",",
 bundled config with one bounded key set to its first rejected value, NaN,
 a number as a string, a wrong type or null. Further cases run a model whose
 weight_bits the hardware has no peak-FLOPs entry for, and then hardware with
-finite rates whose ridge or roofline axes leave float range. It runs cli.main in
-process. The contract: the exit code is 0, 2 or 3 and nothing else escapes
-main; an exit-2 message starts with a flag of the argv or names the config
-file (or its moe, attention or peak_flops object); and a run that exits 2
-writes nothing."""
+finite rates whose ridge or roofline axes leave float range, and last sweep
+runs given both --grid and --workload. It runs cli.main in process. The
+contract: the exit code is 0, 2 or 3 and nothing else escapes main; an
+exit-2 message starts with a flag of the argv or names the config file (or
+its moe, attention or peak_flops object); and a run that exits 2 writes
+nothing."""
 
 import contextlib
 import functools
@@ -74,6 +75,8 @@ UNRATED_CASES = 100
 # runs after the unrated ones give one of them to a command that takes --hardware.
 EXTREME_RATES = [(3e307, None), (1e308, None), (None, 1e-293), (1e-300, 1e300)]
 EXTREME_CASES = 40
+# The runs after those: sweep with both --grid and --workload, which exits 2.
+BOTH_CASES = 40
 
 
 def mutated_configs(directory: Path) -> dict:
@@ -176,6 +179,16 @@ def extreme_argv(rng: random.Random, hardware: list) -> list:
     return argv
 
 
+def both_argv(rng: random.Random, files: dict) -> list:
+    """A random sweep argv with the one of --grid and --workload it lacks added."""
+    argv = random_argv(rng, files)
+    while argv[0] != "sweep":
+        argv = random_argv(rng, files)
+    if "--grid" in argv:
+        return argv + ["--workload", rng.choice(PRESETS["workload"])]
+    return argv + ["--grid", rng.choice(GRIDS)]
+
+
 def check_case(argv: list, out: Path):
     """(exit code, '') when the run keeps the contract, else (code, what it broke)."""
     sys.argv = ["caproof", *argv, "--out", str(out)]
@@ -212,13 +225,16 @@ def test_every_run_keeps_the_exit_contract(tmp_path, monkeypatch):
     extreme = extreme_hardware(tmp_path)
     rng = random.Random(SEED)
     broken, codes = [], []
-    for case in range(CASES + UNRATED_CASES + EXTREME_CASES):
+    extremes_end = CASES + UNRATED_CASES + EXTREME_CASES
+    for case in range(extremes_end + BOTH_CASES):
         if case < CASES:
             argv = random_argv(rng, files)
         elif case < CASES + UNRATED_CASES:
             argv = unrated_argv(rng, files, unrated)
-        else:
+        elif case < extremes_end:
             argv = extreme_argv(rng, extreme)
+        else:
+            argv = both_argv(rng, files)
         out = tmp_path / f"out{case}"
         code, problem = check_case(argv, out)
         codes.append(code)
@@ -227,6 +243,7 @@ def test_every_run_keeps_the_exit_contract(tmp_path, monkeypatch):
         shutil.rmtree(out, ignore_errors=True)
     assert all(codes.count(code) >= CASES // 40 for code in (0, 2, 3)), "too few of an exit code"
     assert set(codes[CASES:CASES + UNRATED_CASES]) == {2}, "an unrated model ran"
-    assert set(codes[CASES + UNRATED_CASES:]) == {2}, "an extreme hardware rate ran"
+    assert set(codes[CASES + UNRATED_CASES:extremes_end]) == {2}, "an extreme hardware rate ran"
+    assert set(codes[extremes_end:]) == {2}, "a sweep with --grid and --workload ran"
     assert not broken, f"{len(broken)} of {len(codes)} runs broke the contract:\n" + "\n".join(
         broken[:10])

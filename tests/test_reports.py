@@ -3,6 +3,7 @@
 rows. The chart reports, which read the analysis core, equal their tables as
 built from classify and the token totals with hand-kept column lists."""
 
+import enum
 import io
 import itertools
 import random
@@ -23,12 +24,12 @@ ODD_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rreturn", "  padded  ", "", '"
 
 
 def reference_csv(result: SweepResult) -> str:
-    """The CSV as write_csv, the one csv.writer, writes it."""
+    """The CSV as write_csv, the one csv.writer, writes it: each column read
+    from the row by name, a phase or class as its value."""
     buf = io.StringIO()
     write_csv(buf, CSV_COLUMNS, (
-        (row.row_kind, row.workload, row.turn_index, row.phase.value, row.batch_size,
-         row.context_len, *row.analysis.metrics, row.analysis.bound_class.value,
-         *row.analysis[2:], row.prefill_total_tokens, row.decode_total_tokens)
+        [cell.value if isinstance(cell, enum.Enum) else cell
+         for cell in (getattr(row, column) for column in CSV_COLUMNS)]
         for row in result.rows
     ))
     return buf.getvalue()
@@ -112,12 +113,11 @@ def one_string_text(result: SweepResult) -> str:
              f"{'kind':<15}{'phase':<9}{'batch':>6}{'context':>9}{'oi':>12}"
              f"{'cf_bytes':>12}  {'class':<18}{'tok/s':>12}{'mfu':>8}{'mbu':>8}"]
     for row in result.rows:
-        a = row.analysis
         lines.append(
             f"{row.row_kind:<15}{row.phase.value:<9}{row.batch_size:>6}"
-            f"{row.context_len:>9}{a.metrics.oi:>12.6g}{a.metrics.cf:>12.6g}"
-            f"  {a.bound_class.value:<18}{a.attainable_tokens_per_s:>12.6g}"
-            f"{a.mfu_est:>8.3g}{a.mbu_est:>8.3g}"
+            f"{row.context_len:>9}{row.oi:>12.6g}{row.cf_bytes:>12.6g}"
+            f"  {row.bound_class.value:<18}{row.attainable_tokens_per_s:>12.6g}"
+            f"{row.mfu_est:>8.3g}{row.mbu_est:>8.3g}"
         )
     return "\n".join(lines) + "\n"
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, PhaseMetrics, _metrics
@@ -190,57 +191,70 @@ class SweepResult:
     rows: Tuple[SweepRow, ...]
 
 
-def sweep_grid(
-    spec: ModelSpec,
-    hw: HardwareSpec,
-    batch_sizes: Sequence[int],
-    context_lens: Sequence[int],
-    phases: Iterable[Phase] = (Phase.PREFILL, Phase.DECODE),
-    include_activations: bool = False,
-    replicate_weights: bool = False,
-) -> SweepResult:
+def iter_grid(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],
+              context_lens: Sequence[int], phases: Iterable[Phase] = (Phase.PREFILL, Phase.DECODE),
+              include_activations: bool = False,
+              replicate_weights: bool = False) -> Iterator[List[SweepRow]]:
     """One SweepRow per (phase, batch, context) grid point, in phase ->
     batch -> context order, its metrics and verdict equal to classify's at
-    that point.
+    that point, made a block at a time: a list per (phase, batch), a row per L.
 
     classify runs once per (phase, L) column, at the smallest batch: whether
     one request fits and whether some per-device-feasible batch reaches the
     ridge depend on L alone, and OI never falls as the batch grows (weight
-    bytes per token are W/B + c). Every larger batch of the column is judged
-    by _verdict against the head's verdict, and its row is built from
-    _metrics's four floats, with no OperatingPoint, PhaseMetrics or
-    PhaseAnalysis.
+    bytes per token are W/B + c). So each row is judged by _verdict against
+    its column head's verdict, from _metrics's four floats.
     """
     if not batch_sizes or not context_lens:
         raise ValueError("sweep grid must be non-empty")
     wanted = set(phases)
     batches, lengths = sorted(set(batch_sizes)), sorted(set(context_lens))
-    flags = (include_activations, replicate_weights)
     costs = spec.costs
     ridge = ridge_point(hw, spec.weight_bits)
     peak, bandwidth, num_devices = hw.peak_for(spec.weight_bits), hw.mem_bandwidth, hw.num_devices
     weights, cap_dev = costs.weight_bits, _device_capacity_bits(hw)
-    rows = []
     for phase in (Phase.PREFILL, Phase.DECODE):
         if phase not in wanted:
             continue
         columns = []
         for length in lengths:
-            head = classify(spec, hw, OperatingPoint(length, batches[0], phase), *flags)
-            rows.append(SweepRow("point", "", None, phase, batches[0], length, *head.metrics,
-                                 *head[1:], None, None))
+            head = classify(spec, hw, OperatingPoint(length, batches[0], phase),
+                            include_activations, replicate_weights)
             flops = head.metrics.flops_per_token
             columns.append((length, costs.kv_bits * length, flops, peak / flops * num_devices,
                             head[1:5], head.max_feasible_batch))
-        for batch in batches[1:]:
-            for length, kv_bits, flops, compute_rate, column, feasible in columns:
-                metrics = _metrics(costs, phase, length, batch, include_activations, flops)
-                rows.append(SweepRow(
-                    "point", "", None, phase, batch, length, *metrics,
-                    *_verdict(metrics, column, ridge, compute_rate, bandwidth, num_devices),
-                    feasible, _device_count(weights, kv_bits, cap_dev, batch, replicate_weights),
-                    None, None))
-    return SweepResult(model=spec.name, hardware=hw.name, rows=tuple(rows))
+        for batch in batches:
+            yield [SweepRow(
+                "point", "", None, phase, batch, length,
+                *(metrics := _metrics(costs, phase, length, batch, include_activations, flops)),
+                *_verdict(metrics, column, ridge, compute_rate, bandwidth, num_devices),
+                feasible, _device_count(weights, kv_bits, cap_dev, batch, replicate_weights),
+                None, None) for length, kv_bits, flops, compute_rate, column, feasible in columns]
+
+
+def sweep_grid(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],
+               context_lens: Sequence[int], phases: Iterable[Phase] = (Phase.PREFILL, Phase.DECODE),
+               include_activations: bool = False,
+               replicate_weights: bool = False) -> SweepResult:
+    """iter_grid's rows, held in one SweepResult."""
+    blocks = iter_grid(spec, hw, batch_sizes, context_lens, phases, include_activations,
+                       replicate_weights)
+    return SweepResult(model=spec.name, hardware=hw.name, rows=tuple(chain.from_iterable(blocks)))
+
+
+def grid_bounds(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],
+                context_lens: Sequence[int], phases: Iterable[Phase],
+                include_activations: bool) -> Tuple[float, float, bool]:
+    """The least and greatest OI of iter_grid's rows, and whether one is
+    capacity_exceeded, in closed form. OI never falls as the batch grows, and
+    IEEE division and addition keep that order, so the least OI is at the
+    smallest batch and the greatest at the largest, bit for bit. Whether a
+    request fits depends on L alone, and the longest L fits least."""
+    costs, ends = spec.costs, {min(batch_sizes), max(batch_sizes)}
+    ois = [_metrics(costs, phase, length, batch, include_activations)[0]
+           for phase in set(phases) for length in context_lens for batch in ends]
+    exceeded = costs.weight_bits + costs.kv_bits * max(context_lens) > _device_capacity_bits(hw)
+    return min(ois), max(ois), exceeded
 
 
 def sweep_workload(

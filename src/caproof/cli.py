@@ -18,6 +18,7 @@ capacity-exceeded point under --strict).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import math
 import os
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from . import reports
-from .analysis import BoundClass, sweep_grid, sweep_workload
+from .analysis import BoundClass, grid_bounds, iter_grid, sweep_workload
 from .config import MAX_EXACT_INT, ConfigError, list_catalog, resolve_config
 from .hardware import ridge_point
 from .model import Phase, _bound
@@ -211,15 +212,18 @@ def _sweep_command(args) -> reports.Report:
     flags = (args.include_activations, args.replicate_weights)
     if workload_ref is not None:
         workload = resolve_config(workload_ref, "workload", args.allow_unknown_keys)
-        result = sweep_workload(model, hw, workload, *flags)
-    else:
-        result = sweep_grid(model, hw, batches, contexts, phases, *flags)
+        rows = sweep_workload(model, hw, workload, *flags).rows
+        blocks, ois = (rows,), [row.oi for row in rows]
+        oi_lo, oi_hi = min(ois), max(ois)
+        exceeded = any(row.bound_class is BoundClass.CAPACITY_EXCEEDED for row in rows)
+    else:  # made a block at a time as it is written
+        blocks = iter_grid(model, hw, batches, contexts, phases, *flags)
+        oi_lo, oi_hi, exceeded = grid_bounds(model, hw, batches, contexts, phases, flags[0])
     return reports.Report(
-        csv=lambda out: reports.write_sweep_csv(result, out),
-        text=lambda out: reports.sweep_text(result, out),
-        svg=lambda out: reports.roofline_svg(model, hw, result, out),
-        exceeded=any(r.bound_class is BoundClass.CAPACITY_EXCEEDED for r in result.rows),
-    )
+        csv=reports.stream_sweep_csv,
+        text=lambda out: reports.stream_sweep_text(model.name, hw.name, out),
+        svg=lambda out: reports.stream_roofline_svg(model, hw, (oi_lo, oi_hi), out),
+        blocks=blocks, exceeded=exceeded)
 
 
 def _context_axis(text: str) -> List[int]:
@@ -242,9 +246,9 @@ def _compare_attention(args) -> reports.Report:
     lengths = _flag("--grid", _context_axis, args.grid)
     rows = reports.compare_attention_rows(models, lengths, batch)
     return reports.Report(
-        csv=lambda out: out.write(reports.compare_attention_csv(rows)),
-        text=lambda out: out.write(reports.compare_attention_text(models, rows, batch)),
-        svg=lambda out: out.write(reports.compare_attention_svg(models, rows, batch)),
+        csv=lambda out: reports.whole(out, reports.compare_attention_csv(rows)),
+        text=lambda out: reports.whole(out, reports.compare_attention_text(models, rows, batch)),
+        svg=lambda out: reports.whole(out, reports.compare_attention_svg(models, rows, batch)),
     )
 
 
@@ -254,9 +258,9 @@ def _compare_moe(args) -> reports.Report:
     batches = sorted(set(_flag("--batch", _int_list, args.batch, "1,16", "batch_size")))
     rows = reports.compare_moe_rows(models, batches, context, args.include_activations)
     return reports.Report(
-        csv=lambda out: out.write(reports.compare_moe_csv(rows)),
-        text=lambda out: out.write(reports.compare_moe_text(rows, context)),
-        svg=lambda out: out.write(reports.compare_moe_svg(rows, context)),
+        csv=lambda out: reports.whole(out, reports.compare_moe_csv(rows)),
+        text=lambda out: reports.whole(out, reports.compare_moe_text(rows, context)),
+        svg=lambda out: reports.whole(out, reports.compare_moe_svg(rows, context)),
     )
 
 
@@ -266,9 +270,9 @@ def _agent_profile(args) -> reports.Report:
     rows = reports.agent_profile_rows(model, hw, workloads, args.include_activations,
                                       args.replicate_weights)
     return reports.Report(
-        csv=lambda out: out.write(reports.agent_profile_csv(rows)),
-        text=lambda out: out.write(reports.agent_profile_text(rows, model, hw)),
-        svg=lambda out: out.write(reports.agent_profile_svg(rows, hw)),
+        csv=lambda out: reports.whole(out, reports.agent_profile_csv(rows)),
+        text=lambda out: reports.whole(out, reports.agent_profile_text(rows, model, hw)),
+        svg=lambda out: reports.whole(out, reports.agent_profile_svg(rows, hw)),
         exceeded=any(row["decode_class"] == BoundClass.CAPACITY_EXCEEDED.value for row in rows),
     )
 
@@ -357,25 +361,28 @@ def _artifact_paths(out_dir: str, command: str, formats: Sequence[str]) -> Dict[
 
 
 def _write_artifacts(paths: Dict[str, Path], report: reports.Report) -> List[Path]:
-    """Open each format's artifact path in turn, with a 64 KiB buffer for the
-    sweep's line-at-a-time writes, and hand the file to that format's
-    renderer, which writes the artifact into it as it renders it. A renderer
-    that raises leaves no file for its format; the artifacts written before it
-    stay. A path that still cannot be opened is a ConfigError naming --out."""
-    written = []
-    for fmt, path in paths.items():
-        try:  # the first artifact makes the directory
-            path.parent.mkdir(parents=True, exist_ok=True)
-            out = open(path, "w", encoding="utf-8", buffering=1 << 16)
-        except OSError as exc:
-            raise ConfigError(f"--out: {exc.strerror}: '{exc.filename}'") from None
-        try:
-            with out:
-                getattr(report, fmt)(out)
-        except BaseException:
+    """Open every format's artifact path at once, with a 64 KiB buffer for the
+    line-at-a-time writes, and stream the report's blocks to one renderer per
+    file, so a grid's rows are made and rendered in one pass, a block held at
+    a time. A renderer that raises removes every artifact of this run, since
+    all are partial. A path that still cannot be opened does too, and is a
+    ConfigError naming --out."""
+    written, renderers = [], []
+    try:
+        with contextlib.ExitStack() as files:
+            for fmt, path in paths.items():
+                try:  # the first artifact makes the directory
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    out = files.enter_context(open(path, "w", encoding="utf-8", buffering=1 << 16))
+                except OSError as exc:
+                    raise ConfigError(f"--out: {exc.strerror}: '{exc.filename}'") from None
+                written.append(path)
+                renderers.append(getattr(report, fmt)(out))
+            reports.stream(renderers, report.blocks)
+    except BaseException:
+        for path in written:
             path.unlink(missing_ok=True)
-            raise
-        written.append(path)
+        raise
     return written
 
 

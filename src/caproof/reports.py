@@ -1,7 +1,7 @@
 """Report builders: text tables, CSV, and self-contained SVG charts. This
 module owns every artifact format; the sweep CSV's columns are the fields of
 analysis.SweepRow. Sweep artifacts are written to their file as they are
-rendered, a line per row.
+rendered, a line per row, in one pass over blocks of rows (stream).
 
 Four chart types: the capacity-extended roofline with classified workload
 points, capacity-footprint-vs-context curves per attention variant,
@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, TextIO
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .analysis import BoundClass, SweepResult, SweepRow, sweep_workload
 from .hardware import HardwareSpec, ridge_point
@@ -33,19 +33,39 @@ CLASS_COLORS = {
 SERIES_COLORS = ["#3182ce", "#d69e2e", "#38a169", "#805ad5", "#dd6b20", "#319795"]
 
 CSV_COLUMNS = SweepRow._fields
+Renderer = Generator[None, Optional[Sequence[SweepRow]], None]  # see stream
 
 
 @dataclass(frozen=True)
 class Report:
-    """One command's artifacts as renderers that each write one format to an
-    open text file, so only the formats asked for are rendered and a sweep
-    artifact is written as it is rendered, never held whole. `exceeded` is
-    set when an analyzed point is capacity_exceeded (the --strict exit)."""
+    """One command's artifacts: per format, a function of the open file that
+    returns the format's renderer, so only the formats asked for are rendered,
+    and the blocks of rows stream sends to them. `exceeded` is set when an
+    analyzed point is capacity_exceeded (the --strict exit)."""
 
-    csv: Callable[[TextIO], object]
-    text: Callable[[TextIO], object]
-    svg: Callable[[TextIO], object]
+    csv: Callable[[TextIO], Renderer]
+    text: Callable[[TextIO], Renderer]
+    svg: Callable[[TextIO], Renderer]
+    blocks: Iterable[Sequence[SweepRow]] = ()
     exceeded: bool = False
+
+
+def stream(renderers: Sequence[Renderer], blocks: Iterable[Sequence[SweepRow]]) -> None:
+    """Write artifacts in one pass over blocks of rows. A renderer writes its
+    head when started, each block's lines when sent it, and its tail at None."""
+    for renderer in renderers:
+        next(renderer)
+    for rows in blocks:
+        for renderer in renderers:
+            renderer.send(rows)
+    for renderer in renderers:
+        next(renderer, None)
+
+
+def whole(out: TextIO, text: str) -> Renderer:
+    """The renderer of an artifact built as one string, which takes no rows."""
+    out.write(text)
+    yield
 
 
 class Cells(dict):
@@ -81,7 +101,7 @@ def write_csv(out: TextIO, columns: Sequence[str], rows: Iterable[Sequence[objec
     writer.writerows(rows)
 
 
-def write_sweep_csv(result: SweepResult, out: TextIO) -> None:
+def stream_sweep_csv(out: TextIO) -> Renderer:
     """The sweep CSV: CSV_COLUMNS, full float precision, deterministic order,
     byte-identical to write_csv. Each row is formatted as one line and written
     as it is formatted, so the CSV is never held whole: floats with repr, ints
@@ -94,54 +114,67 @@ def write_sweep_csv(result: SweepResult, out: TextIO) -> None:
     phases = {phase: quoted[phase.value] for phase in Phase}
     bounds = {bound: quoted[bound.value] for bound in BoundClass}
     out.write(",".join(CSV_COLUMNS) + "\n")
-    out.writelines(
-        f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
-        f"{phases[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"
-        f"{nbytes!r},{bounds[bound]},{floats[rate]},{floats[mfu]},{floats[mbu]},"
-        f"{ints[feasible]},{devices},"
-        f"{'' if prefill_total is None else prefill_total},"
-        f"{'' if decode_total is None else decode_total}\n"
-        for (kind, workload, turn, phase, batch, length, oi, cf, flops, nbytes, bound, rate,
-             mfu, mbu, feasible, devices, prefill_total, decode_total) in result.rows
-    )
+    while (rows := (yield)) is not None:
+        out.writelines(
+            f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
+            f"{phases[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"
+            f"{nbytes!r},{bounds[bound]},{floats[rate]},{floats[mfu]},{floats[mbu]},"
+            f"{ints[feasible]},{devices},"
+            f"{'' if prefill_total is None else prefill_total},"
+            f"{'' if decode_total is None else decode_total}\n"
+            for (kind, workload, turn, phase, batch, length, oi, cf, flops, nbytes, bound, rate,
+                 mfu, mbu, feasible, devices, prefill_total, decode_total) in rows
+        )
+
+
+def write_sweep_csv(result: SweepResult, out: TextIO) -> None:
+    """The sweep CSV of a held result, its rows sent as one block."""
+    stream([stream_sweep_csv(out)], [result.rows])
 
 
 def sweep_csv(result: SweepResult) -> str:
-    """The sweep CSV as one string; the CLI streams write_sweep_csv to its file."""
+    """The sweep CSV as one string."""
     buf = io.StringIO()
     write_sweep_csv(result, buf)
     return buf.getvalue()
 
 
-def sweep_text(result: SweepResult, out: TextIO) -> None:
+def stream_sweep_text(model: str, hardware: str, out: TextIO) -> Renderer:
     """The sweep as a fixed-width table, each row's line written as it is formatted."""
     out.write(
-        f"model={result.model} hardware={result.hardware}\n"
+        f"model={model} hardware={hardware}\n"
         f"{'kind':<15}{'phase':<9}{'batch':>6}{'context':>9}{'oi':>12}"
         f"{'cf_bytes':>12}  {'class':<18}{'tok/s':>12}{'mfu':>8}{'mbu':>8}\n"
     )
     phases = {phase: f"{phase.value:<9}" for phase in Phase}
     bounds = {bound: f"{bound.value:<18}" for bound in BoundClass}
     lengths, rates, ratios = Cells(format, ">9"), Cells(format, ">12.6g"), Cells(format, ">8.3g")
-    out.writelines(
-        f"{kind:<15}{phases[phase]}{batch:>6}{lengths[length]}{oi:>12.6g}{cf:>12.6g}"
-        f"  {bounds[bound]}{rates[rate]}{ratios[mfu]}{ratios[mbu]}\n"
-        for (kind, _, _, phase, batch, length, oi, cf, _, _, bound, rate, mfu, mbu,
-             _, _, _, _) in result.rows
-    )
+    while (rows := (yield)) is not None:
+        out.writelines(
+            f"{kind:<15}{phases[phase]}{batch:>6}{lengths[length]}{oi:>12.6g}{cf:>12.6g}"
+            f"  {bounds[bound]}{rates[rate]}{ratios[mfu]}{ratios[mbu]}\n"
+            for (kind, _, _, phase, batch, length, oi, cf, _, _, bound, rate, mfu, mbu,
+                 _, _, _, _) in rows
+        )
 
 
-def roofline_svg(model: ModelSpec, hw: HardwareSpec, result: SweepResult, out: TextIO) -> None:
+def sweep_text(result: SweepResult, out: TextIO) -> None:
+    """The sweep table of a held result, its rows sent as one block."""
+    stream([stream_sweep_text(result.model, result.hardware, out)], [result.rows])
+
+
+def stream_roofline_svg(model: ModelSpec, hw: HardwareSpec, oi_range: Tuple[float, float],
+                        out: TextIO) -> Renderer:
     """Both roofline arms, the ridge point, and the swept points colored by
-    boundedness class, titled "<model> on <hardware>". Per-device axes. Each
+    boundedness class, titled "<model> on <hardware>". Per-device axes, the x
+    axis over the ridge and oi_range, the rows' least and greatest OI. Each
     element is written to `out` as it is drawn, the points between frame and legend."""
     bits = model.weight_bits
     peak = hw.peak_for(bits)
     bandwidth = hw.mem_bandwidth
     ridge = ridge_point(hw, bits)
-    ois = [row.oi for row in result.rows]
-    lo = min(min(ois), ridge) / 4
-    hi = max(max(ois), ridge) * 4
+    lo = min(oi_range[0], ridge) / 4
+    hi = max(oi_range[1], ridge) * 4
 
     width, height = 640, 420
     x0, y0, x1, y1 = 70, 40, width - 170, height - 60
@@ -164,17 +197,24 @@ def roofline_svg(model: ModelSpec, hw: HardwareSpec, result: SweepResult, out: T
     # Each point sits on the roofline: attainable_flops with peak and
     # bandwidth read once, outside the per-row loop. One f-string per point
     # writes what canvas.circle(x, y, 4, fill=color, stroke="#333") would.
-    out.writelines(
-        f'<circle cx="{xs(oi):.6g}" cy="{ys(min(peak, oi * bandwidth)):.6g}" r="4" '
-        f'fill="{CLASS_COLORS[bound]}" stroke="#333"/>\n'
-        for (_, _, _, _, _, _, oi, _, _, _, bound, _, _, _, _, _, _, _) in result.rows
-    )
+    while (rows := (yield)) is not None:
+        out.writelines(
+            f'<circle cx="{xs(oi):.6g}" cy="{ys(min(peak, oi * bandwidth)):.6g}" r="4" '
+            f'fill="{CLASS_COLORS[bound]}" stroke="#333"/>\n'
+            for (_, _, _, _, _, _, oi, _, _, _, bound, _, _, _, _, _, _, _) in rows
+        )
 
     legend_x, legend_y = x1 + 12, y0 + 10
     for i, bound in enumerate(BoundClass):
         canvas.circle(legend_x + 5, legend_y + 18 * i, 4, fill=CLASS_COLORS[bound])
         canvas.text(legend_x + 14, legend_y + 18 * i + 4, bound.value, size=9)
     canvas.close()
+
+
+def roofline_svg(model: ModelSpec, hw: HardwareSpec, result: SweepResult, out: TextIO) -> None:
+    """The roofline of a held result, its rows sent as one block."""
+    ois = [row.oi for row in result.rows]
+    stream([stream_roofline_svg(model, hw, (min(ois), max(ois)), out)], [result.rows])
 
 
 def compare_attention_rows(

@@ -13,7 +13,8 @@ from typing import List, Tuple
 
 from .model import _bound
 
-# Rows one sweep may hold: about 570 MB at 283 bytes a row (tracemalloc, 128k grid).
+# Rows one sweep may have. sweep_grid and sweep_workload hold them all, about 570 MB
+# at 283 bytes a row (tracemalloc, 128k grid); the CLI streams a grid a block at a time.
 MAX_SWEEP_ROWS = 2_000_000
 MAX_TURNS = (MAX_SWEEP_ROWS - 2) // 2  # a prefill and a decode row a turn, two totals
 

@@ -10,6 +10,8 @@ from caproof.analysis import (
     PhaseAnalysis,
     SweepRow,
     classify,
+    grid_bounds,
+    iter_grid,
     max_feasible_batch,
     min_devices,
     sweep_grid,
@@ -595,3 +597,65 @@ class TestSweepGridColumns:
         assert calls == [(phase, 3, length) for phase in Phase for length in lengths]
         assert len(points) == len(calls)
         assert built == [PhaseMetrics, PhaseAnalysis] * len(calls)
+
+
+class TestStreamedGrid:
+    """iter_grid makes sweep_grid's rows a block per (phase, batch), and
+    grid_bounds gives, before the first row is made, what the renderers need
+    of them all: the least and greatest OI and whether one is capacity_exceeded."""
+
+    PHASES = {"prefill": (Phase.PREFILL,), "decode": (Phase.DECODE,), "both": tuple(Phase)}
+
+    @pytest.mark.parametrize("include_activations", [False, True])
+    @pytest.mark.parametrize("replicate_weights", [False, True])
+    @pytest.mark.parametrize("phases", ["prefill", "decode", "both"])
+    def test_closed_form_bounds_equal_the_row_scan(self, include_activations, replicate_weights,
+                                                   phases):
+        rng = random.Random(f"{include_activations}-{replicate_weights}-{phases}")
+        exceeded_seen, shapes = set(), set()
+        for case in range(200):
+            spec = random_model(rng)
+            hw = random_hardware(rng, spec)  # criterion 6's instances
+            batches = [rng.randint(1, 512) for _ in range(1 if case % 2 else rng.randint(2, 6))]
+            lengths = [rng.randint(1, 2_000_000)
+                       for _ in range(1 if case % 3 == 0 else rng.randint(2, 6))]
+            rows = sweep_grid(spec, hw, batches, lengths, self.PHASES[phases],
+                              include_activations, replicate_weights).rows
+            oi_lo, oi_hi, exceeded = grid_bounds(spec, hw, batches, lengths,
+                                                 self.PHASES[phases], include_activations)
+            assert oi_lo == min(row.oi for row in rows)
+            assert oi_hi == max(row.oi for row in rows)
+            assert exceeded == any(row.bound_class is BoundClass.CAPACITY_EXCEEDED
+                                   for row in rows)
+            exceeded_seen.add(exceeded)
+            shapes.add((len(set(batches)) > 1, len(set(lengths)) > 1))
+        assert exceeded_seen == {False, True}
+        assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_blocks_are_one_phase_and_batch_in_grid_order(self):
+        spec, hw = ref48_spec(), make_hw(2.25e15, 8e12, 192e9)
+        batches, lengths = [16, 1, 4, 16], [300_000, 1000, 32_000]
+        blocks = list(iter_grid(spec, hw, batches, lengths))
+        assert [row for block in blocks for row in block] == list(
+            sweep_grid(spec, hw, batches, lengths).rows)
+        assert [[(row.phase, row.batch_size, row.context_len) for row in block]
+                for block in blocks] == [[(phase, batch, length) for length in sorted(lengths)]
+                                         for phase in Phase for batch in (1, 4, 16)]
+
+    def test_rows_are_made_a_block_at_a_time(self, monkeypatch):
+        """Asking for the first block builds its rows and none of the other
+        batches' rows."""
+        built = []
+
+        def counting(*fields):
+            built.append(fields[4])
+            return SweepRow(*fields)
+
+        monkeypatch.setattr(analysis, "SweepRow", counting)
+        blocks = iter_grid(ref48_spec(), make_hw(2.25e15, 8e12, 192e9), range(1, 65),
+                           [1000, 2000, 4000], (Phase.DECODE,))
+        assert built == []
+        assert len(next(blocks)) == 3
+        assert built == [1, 1, 1]
+        assert len(list(blocks)) == 63
+        assert built == [batch for batch in range(1, 65) for _ in range(3)]

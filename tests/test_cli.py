@@ -162,23 +162,25 @@ class TestCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("rendered a format that was not asked for")
 
-        monkeypatch.setattr(reports, "sweep_text", refuse)
-        monkeypatch.setattr(reports, "roofline_svg", refuse)
+        for name in ("sweep_text", "roofline_svg", "stream_sweep_text", "stream_roofline_svg"):
+            monkeypatch.setattr(reports, name, refuse)
         assert run(["sweep", "--model", "dense-70b", "--hardware", "b200-sxm",
                     "--grid", "B=1,L=4k", "--format", "csv", "--out", str(tmp_path)]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
     def test_failing_renderer_leaves_no_partial_file(self, tmp_path, monkeypatch):
-        def half_written(result, out):
+        """All formats are written in one pass, so when one renderer raises the
+        others are partial too: every artifact of the run is removed."""
+        def half_written(model, hardware, out):
             out.write("model=partial\n")
+            yield
             raise RuntimeError("renderer failed mid-stream")
 
-        monkeypatch.setattr(reports, "sweep_text", half_written)
+        monkeypatch.setattr(reports, "stream_sweep_text", half_written)
         with pytest.raises(RuntimeError, match="mid-stream"):
             run(["sweep", "--model", "dense-70b", "--hardware", "b200-sxm",
-                 "--grid", "B=1,L=4k", "--out", str(tmp_path)])
-        assert (tmp_path / "sweep.csv").exists()
-        assert not (tmp_path / "sweep.txt").exists()
+                 "--grid", "B=1,2,L=4k", "--out", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutCheckedBeforeAnalysis:
@@ -187,15 +189,15 @@ class TestOutCheckedBeforeAnalysis:
     @pytest.fixture
     def sweep_calls(self, monkeypatch):
         calls = []
-        original = analysis.sweep_grid
+        original = analysis.iter_grid
 
         def recording(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
         for module in (analysis, cli):
-            if getattr(module, "sweep_grid", None) is original:
-                monkeypatch.setattr(module, "sweep_grid", recording)
+            if getattr(module, "iter_grid", None) is original:
+                monkeypatch.setattr(module, "iter_grid", recording)
         return calls
 
     @pytest.mark.parametrize("argv", [
@@ -640,7 +642,7 @@ class TestInputBounds:
 
     @pytest.fixture
     def grids(self, monkeypatch):
-        """The (batches, contexts, phases) each sweep_grid call gets; the call
+        """The (batches, contexts, phases) each iter_grid call gets; the call
         then stops the command, so no grid is analysed."""
         calls = []
 
@@ -648,7 +650,7 @@ class TestInputBounds:
             calls.append((len(set(batches)), len(set(contexts)), len(phases)))
             raise GridReached
 
-        monkeypatch.setattr(cli, "sweep_grid", stopped)
+        monkeypatch.setattr(cli, "iter_grid", stopped)
         return calls
 
     @pytest.mark.parametrize("argv, flag, rows", [

@@ -1,0 +1,124 @@
+"""The CLI writes a grid sweep's artifacts in one streamed pass: its files
+equal the renderers run over the held sweep_grid, byte for byte, in every
+command, format subset and flag combination, and the pass holds one block of
+rows, not the sweep."""
+
+import io
+import itertools
+import tracemalloc
+
+import pytest
+
+from caproof import cli, reports
+from caproof.analysis import BoundClass, sweep_grid
+from caproof.config import resolve_config
+from caproof.model import Phase
+
+PHASES = {"prefill": (Phase.PREFILL,), "decode": (Phase.DECODE,), "both": tuple(Phase)}
+FORMATS = ["csv", "svg", "text"]
+EXTENSIONS = {"csv": "csv", "svg": "svg", "text": "txt"}
+SUBSETS = [subset for n in (1, 2, 3) for subset in itertools.combinations(FORMATS, n)]
+# command -> (model, hardware, a grid of several B and L values, a grid of one of each); a
+# grid is (its flags, its B values, its L values), the values None where --grid gives them.
+COMMANDS = {
+    "analyze": ("dense-70b", "b200-sxm",
+                (["--batch", "1,16,3", "--context", "4k,300k,1000"], [1, 3, 16], [1000, 4000, 300000]),
+                (["--batch", "8", "--context", "2k"], [8], [2000])),
+    "sweep": ("mla-48x2048", "b200-sxm",
+              (["--grid", "B=1..64:log,L=16..4m:log"], None, None),
+              (["--grid", "B=4,L=32k"], [4], [32000])),
+    "roofline-plot": ("dense-70b", "b200-node8",
+                      (["--batch", "2,64,1", "--context", "1m,8k"], [1, 2, 64], [8000, 1000000]),
+                      (["--batch", "32", "--context", "128k"], [32], [128000])),
+}
+
+
+def grid_points(grid):
+    """A grid's B and L values: as given, or parsed from its --grid."""
+    argv, batches, lengths = grid
+    if batches is None:
+        dims = cli.parse_grid(argv[1])
+        return dims["B"], dims["L"]
+    return batches, lengths
+
+
+def held_rows(command, grid, phases, flags=(False, False)):
+    model = resolve_config(COMMANDS[command][0], "model")
+    hw = resolve_config(COMMANDS[command][1], "hardware")
+    return model, hw, sweep_grid(model, hw, *grid_points(grid), PHASES[phases], *flags)
+
+
+def held_artifacts(command, grid, phases, flags):
+    """Each format's bytes from write_sweep_csv, sweep_text and roofline_svg
+    over the materialised sweep_grid, and whether a row is capacity_exceeded."""
+    model, hw, result = held_rows(command, grid, phases, flags)
+    rendered = {}
+    for fmt, render in (("csv", reports.write_sweep_csv), ("text", reports.sweep_text),
+                        ("svg", lambda result, out: reports.roofline_svg(model, hw, result, out))):
+        buf = io.StringIO()
+        render(result, buf)
+        rendered[fmt] = buf.getvalue().encode()
+    exceeded = any(row.bound_class is BoundClass.CAPACITY_EXCEEDED for row in result.rows)
+    return rendered, exceeded
+
+
+def run_command(command, grid, phases, flags, formats, out):
+    argv = [command, "--model", COMMANDS[command][0], "--hardware", COMMANDS[command][1],
+            *grid[0], "--phase", phases, "--format", ",".join(formats), "--out", str(out),
+            *(["--include-activations"] if flags[0] else []),
+            *(["--replicate-weights"] if flags[1] else []), "--strict"]
+    return cli.run(argv)
+
+
+@pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=2)))
+@pytest.mark.parametrize("phases", list(PHASES))
+@pytest.mark.parametrize("grid", ["multi", "single"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_streamed_artifacts_equal_the_held_renderers(command, grid, phases, flags, tmp_path):
+    grid = COMMANDS[command][2 if grid == "multi" else 3]
+    expected, exceeded = held_artifacts(command, grid, phases, flags)
+    code = run_command(command, grid, phases, flags, FORMATS, tmp_path)
+    assert code == (cli.EXIT_INFEASIBLE if exceeded else cli.EXIT_OK)
+    for fmt in FORMATS:
+        assert (tmp_path / f"{command}.{EXTENSIONS[fmt]}").read_bytes() == expected[fmt], fmt
+
+
+def test_the_grids_cover_every_class_and_both_exits():
+    """The grids above are not all of one kind: together they hold every
+    bound class, and some exit 3 under --strict while others exit 0."""
+    classes, exits = set(), set()
+    for command, grid, phases in itertools.product(COMMANDS, (2, 3), PHASES):
+        rows = held_rows(command, COMMANDS[command][grid], phases)[2].rows
+        classes |= {row.bound_class for row in rows}
+        exits.add(BoundClass.CAPACITY_EXCEEDED in {row.bound_class for row in rows})
+    assert classes == set(BoundClass)
+    assert exits == {False, True}
+
+
+@pytest.mark.parametrize("formats", SUBSETS, ids=",".join)
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_format_subset_writes_only_its_formats(command, formats, tmp_path):
+    grid = COMMANDS[command][2]
+    flags = (False, False)
+    expected, _ = held_artifacts(command, grid, "both", flags)
+    run_command(command, grid, "both", flags, formats, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{command}.{EXTENSIONS[fmt]}" for fmt in formats)
+    for fmt in formats:
+        assert (tmp_path / f"{command}.{EXTENSIONS[fmt]}").read_bytes() == expected[fmt], fmt
+
+
+def test_a_32k_row_grid_in_all_formats_holds_no_sweep(tmp_path):
+    """32,000 rows (283 B each held) in all three formats: the pass holds one
+    block of 2,000 rows and the renderers' memos, far below the 9 MB the
+    rows alone would take."""
+    argv = ["sweep", "--model", "dense-70b", "--hardware", "b200-node8",
+            "--grid", "B=1..16,L=1000..1000000:log1000", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert cli.run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "sweep.csv").read_text().count("\n") == 32_001
+    assert peak < 8_000_000

@@ -70,9 +70,13 @@ def whole(out: TextIO, text: str) -> Renderer:
 
 class Cells(dict):
     """render(value, *args) of each distinct value, computed once per
-    renderer call: on a grid a length, FLOP count, rate or ratio repeats down
-    its column. One instance holds values of one type, since equal keys
-    share a cell and 1 == 1.0."""
+    renderer call. Only a cell that repeats down a (phase, L) grid column is
+    memoized: its length, FLOP count and feasible batch, and the rate and mfu
+    of every row that is not bandwidth-bound. A per-row value (oi, cf, bytes,
+    mbu, and a bandwidth-bound row's rate and mfu) would never be hit again,
+    so it is formatted directly and the memos hold O(columns) cells, not
+    O(rows). One instance holds values of one type, since equal keys share a
+    cell and 1 == 1.0."""
 
     def __init__(self, render: Callable[..., str], *args):
         super().__init__()
@@ -106,19 +110,23 @@ def stream_sweep_csv(out: TextIO) -> Renderer:
     byte-identical to write_csv. Each row is formatted as one line and written
     as it is formatted, so the CSV is never held whole: floats with repr, ints
     with str, None as an empty cell, and each distinct string cell quoted once
-    by the csv module. The columns whose values repeat down a grid column are
-    formatted once per distinct value (format without a spec is str, and a
-    float's str is its repr)."""
+    by the csv module. The cells that repeat down a grid column (see Cells)
+    are formatted once per distinct value (format without a spec is str, and
+    a float's str is its repr); mbu, which is ridge/oi on a compute-bound
+    row, and a bandwidth-bound row's rate and mfu are formatted per row."""
     quoted = Cells(_quoted)
     ints, floats = Cells(format), Cells(format)
     phases = {phase: quoted[phase.value] for phase in Phase}
     bounds = {bound: quoted[bound.value] for bound in BoundClass}
+    bandwidth = BoundClass.BANDWIDTH_BOUND
     out.write(",".join(CSV_COLUMNS) + "\n")
     while (rows := (yield)) is not None:
         out.writelines(
             f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
             f"{phases[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"
-            f"{nbytes!r},{bounds[bound]},{floats[rate]},{floats[mfu]},{floats[mbu]},"
+            f"{nbytes!r},{bounds[bound]},"
+            f"{f'{rate!r},{mfu!r}' if bound is bandwidth else f'{floats[rate]},{floats[mfu]}'},"
+            f"{mbu!r},"
             f"{ints[feasible]},{devices},"
             f"{'' if prefill_total is None else prefill_total},"
             f"{'' if decode_total is None else decode_total}\n"
@@ -140,7 +148,8 @@ def sweep_csv(result: SweepResult) -> str:
 
 
 def stream_sweep_text(model: str, hardware: str, out: TextIO) -> Renderer:
-    """The sweep as a fixed-width table, each row's line written as it is formatted."""
+    """The sweep as a fixed-width table, each row's line written as it is
+    formatted. Its memos are those of stream_sweep_csv, with the same split."""
     out.write(
         f"model={model} hardware={hardware}\n"
         f"{'kind':<15}{'phase':<9}{'batch':>6}{'context':>9}{'oi':>12}"
@@ -149,10 +158,13 @@ def stream_sweep_text(model: str, hardware: str, out: TextIO) -> Renderer:
     phases = {phase: f"{phase.value:<9}" for phase in Phase}
     bounds = {bound: f"{bound.value:<18}" for bound in BoundClass}
     lengths, rates, ratios = Cells(format, ">9"), Cells(format, ">12.6g"), Cells(format, ">8.3g")
+    bandwidth = BoundClass.BANDWIDTH_BOUND
     while (rows := (yield)) is not None:
         out.writelines(
             f"{kind:<15}{phases[phase]}{batch:>6}{lengths[length]}{oi:>12.6g}{cf:>12.6g}"
-            f"  {bounds[bound]}{rates[rate]}{ratios[mfu]}{ratios[mbu]}\n"
+            f"  {bounds[bound]}"
+            f"{f'{rate:>12.6g}{mfu:>8.3g}' if bound is bandwidth else rates[rate] + ratios[mfu]}"
+            f"{mbu:>8.3g}\n"
             for (kind, _, _, phase, batch, length, oi, cf, _, _, bound, rate, mfu, mbu,
                  _, _, _, _) in rows
         )

@@ -2,7 +2,8 @@
 writes must match `tests/golden/<scenario>/` byte for byte.
 
 The scenarios cover CLI paths the benchmark digests do not: decode-only
-analysis with both accounting flags, a prefill-only grid, a workload sweep,
+analysis with both accounting flags, a prefill-only grid, a grid whose rows
+hold every bound class (bandwidth-bound among them), a workload sweep,
 a grid-driven roofline plot, and the three comparison/profile charts.
 
 To re-record after an intended output change:
@@ -28,6 +29,10 @@ SCENARIOS = {
     "sweep-grid-prefill": [
         "sweep", "--model", "dense-70b", "--hardware", "b200-sxm",
         "--grid", "B=1,8,L=1k..64k:log", "--phase", "prefill",
+    ],
+    "sweep-grid-every-class": [
+        "sweep", "--model", "mla-48x2048", "--hardware", "b200-sxm",
+        "--grid", "B=1,16,256,L=16,1k,64k,16m",
     ],
     "sweep-chatbot": [
         "sweep", "--model", "dense-70b", "--hardware", "b200-node8", "--workload", "chatbot",

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from caproof import reports
-from caproof.analysis import SweepResult, classify, sweep_grid, sweep_workload
+from caproof.analysis import BoundClass, SweepResult, classify, sweep_grid, sweep_workload
 from caproof.config import list_catalog, resolve_config
 from caproof.hardware import HardwareSpec
 from caproof.metrics import OperatingPoint
@@ -50,6 +50,20 @@ def random_hardware(rng: random.Random, spec) -> HardwareSpec:
                         num_devices=rng.choice([1, 2, 4]))
 
 
+def random_grids():
+    """60 sweep_grids of random models, hardware and flags. B (1-512) and L
+    (1-2M) are drawn log-uniform, so short contexts and small batches occur
+    and the rows hold every bound class in both phases."""
+    rng = random.Random(17)
+    for _ in range(60):
+        spec = random_model(rng)
+        batches = [round(2 ** rng.uniform(0, 9)) for _ in range(rng.randint(1, 4))]
+        lengths = [round(10 ** rng.uniform(0, 6.3)) for _ in range(rng.randint(1, 6))]
+        yield sweep_grid(spec, random_hardware(rng, spec), batches, lengths,
+                         include_activations=rng.random() < 0.5,
+                         replicate_weights=rng.random() < 0.5)
+
+
 class TestCsvByteIdentity:
     @pytest.mark.parametrize("name", ODD_NAMES)
     def test_workload_names_quoted_as_csv_writer_quotes_them(self, name):
@@ -73,16 +87,18 @@ class TestCsvByteIdentity:
         assert streamed(lambda out: write_sweep_csv(result, out)) == reference_csv(result)
 
     def test_random_grid_rows(self):
-        rng = random.Random(17)
-        for _ in range(60):
-            spec = random_model(rng)
-            batches = [rng.randint(1, 512) for _ in range(rng.randint(1, 4))]
-            lengths = [rng.randint(1, 2_000_000) for _ in range(rng.randint(1, 6))]
-            result = sweep_grid(spec, random_hardware(rng, spec), batches, lengths,
-                                include_activations=rng.random() < 0.5,
-                                replicate_weights=rng.random() < 0.5)
+        for result in random_grids():
             assert streamed(lambda out: write_sweep_csv(result, out)) == reference_csv(result)
             assert reports.sweep_csv(result) == reference_csv(result)
+
+
+class TestTextByteIdentity:
+    def test_random_grid_rows(self):
+        classes = set()
+        for result in random_grids():
+            assert streamed(lambda out: reports.sweep_text(result, out)) == one_string_text(result)
+            classes |= {row.bound_class for row in result.rows}
+        assert classes == set(BoundClass)
 
 
 class RecordingFile(io.StringIO):

@@ -108,17 +108,44 @@ def test_each_format_subset_writes_only_its_formats(command, formats, tmp_path):
         assert (tmp_path / f"{command}.{EXTENSIONS[fmt]}").read_bytes() == expected[fmt], fmt
 
 
+def traced_peak(argv):
+    """The tracemalloc peak of one cli.run, in bytes."""
+    tracemalloc.start()
+    try:
+        assert cli.run(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_32k_row_grid_in_all_formats_holds_no_sweep(tmp_path):
     """32,000 rows (283 B each held) in all three formats: the pass holds one
     block of 2,000 rows and the renderers' memos, far below the 9 MB the
     rows alone would take."""
-    argv = ["sweep", "--model", "dense-70b", "--hardware", "b200-node8",
-            "--grid", "B=1..16,L=1000..1000000:log1000", "--out", str(tmp_path)]
-    tracemalloc.start()
-    try:
-        assert cli.run(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(["sweep", "--model", "dense-70b", "--hardware", "b200-node8",
+                        "--grid", "B=1..16,L=1000..1000000:log1000", "--out", str(tmp_path)])
     assert (tmp_path / "sweep.csv").read_text().count("\n") == 32_001
     assert peak < 8_000_000
+
+
+# (model, hardware, extra flags, L axis): compute-bound and capacity-limited rows on the
+# first grid, bandwidth-bound rows on the second.
+GROWING_GRIDS = {
+    "dense-70b": ("dense-70b", "b200-node8", [], "L=1k..1m:log250"),
+    "mla-decode": ("mla-48x2048", "b200-sxm", ["--phase", "decode"], "L=16..16m:log250"),
+}
+
+
+@pytest.mark.parametrize("grid", list(GROWING_GRIDS))
+def test_memory_does_not_grow_with_the_batch_axis(grid, tmp_path):
+    """16 times the rows on the same L axis, in all formats, hold no more:
+    the pass keeps one block of rows and the cells that repeat down a
+    (phase, L) column, none per row."""
+    model, hardware, flags, lengths = GROWING_GRIDS[grid]
+    peaks = {}
+    for batches in (4, 64):
+        out = tmp_path / f"B{batches}"
+        peaks[batches] = traced_peak(["sweep", "--model", model, "--hardware", hardware, *flags,
+                                      "--grid", f"B=1..{batches},{lengths}", "--out", str(out)])
+        assert (out / "sweep.csv").read_text().count("\n") > batches * 250
+    assert peaks[64] <= peaks[4] + 500_000, peaks

@@ -115,6 +115,28 @@ def _verdict(metrics: tuple, column: tuple, ridge: float, compute_rate: float,
     return BoundClass.BANDWIDTH_BOUND, oi * bandwidth / metrics[2] * num_devices, oi / ridge, 1.0
 
 
+def _point(spec: ModelSpec, hw: HardwareSpec, ridge: float, phase: Phase, length: int,
+           batch: int, include_activations: bool, replicate_weights: bool) -> tuple:
+    """SweepRow's fields oi ... min_devices at one point, which classify wraps. ridge is
+    ridge_point(hw, spec.weight_bits), read once by the caller; nothing is validated here."""
+    costs = spec.costs
+    flops = float(costs.token_flops(phase, length))
+    metrics = _metrics(costs, phase, length, batch, include_activations, flops)
+    weights, kv_bits = costs.weight_bits, costs.kv_bits * length
+    cap_dev = _device_capacity_bits(hw)
+    if weights + kv_bits > cap_dev:
+        column = (BoundClass.CAPACITY_EXCEEDED, 0.0, 0.0, 0.0)
+    else:
+        best_oi = _metrics(costs, phase, length, (cap_dev - weights) // kv_bits,
+                           include_activations, flops)[0]
+        column = (BoundClass.BANDWIDTH_BOUND if best_oi >= ridge else BoundClass.CAPACITY_LIMITED,
+                  best_oi * hw.mem_bandwidth / flops * hw.num_devices, best_oi / ridge, 1.0)
+    compute_rate = hw.peak_for(spec.weight_bits) / flops * hw.num_devices
+    return (*metrics, *_verdict(metrics, column, ridge, compute_rate, hw.mem_bandwidth, hw.num_devices),
+            _feasible_batch(weights, kv_bits, cap_dev, hw.num_devices, replicate_weights),
+            _device_count(weights, kv_bits, cap_dev, batch, replicate_weights))
+
+
 def classify(
     spec: ModelSpec,
     hw: HardwareSpec,
@@ -134,31 +156,11 @@ def classify(
 
     OI is monotone non-decreasing in batch size (weight amortization), so
     ridge reachability is decided at that largest feasible batch, whose OI
-    comes from the same formula as the point's. _verdict applies the rules.
+    comes from the same formula as the point's. _point computes the fields.
     """
-    bits = spec.weight_bits
-    ridge = ridge_point(hw, bits)
-    costs = spec.costs
-    length, phase = point.context_len, point.phase
-    flops = float(costs.token_flops(phase, length))
-    metrics = PhaseMetrics(*_metrics(costs, phase, length, point.batch_size,
-                                     include_activations, flops))
-    weights = costs.weight_bits
-    kv_bits = costs.kv_bits * length
-    cap_dev = _device_capacity_bits(hw)
-    feasible = _feasible_batch(weights, kv_bits, cap_dev, hw.num_devices, replicate_weights)
-    devices = _device_count(weights, kv_bits, cap_dev, point.batch_size, replicate_weights)
-    if weights + kv_bits > cap_dev:
-        column = (BoundClass.CAPACITY_EXCEEDED, 0.0, 0.0, 0.0)
-    else:
-        best_oi = _metrics(costs, phase, length, (cap_dev - weights) // kv_bits,
-                           include_activations, flops)[0]
-        column = (BoundClass.BANDWIDTH_BOUND if best_oi >= ridge else BoundClass.CAPACITY_LIMITED,
-                  best_oi * hw.mem_bandwidth / flops * hw.num_devices, best_oi / ridge, 1.0)
-    return PhaseAnalysis(metrics, *_verdict(metrics, column, ridge,
-                                            hw.peak_for(bits) / flops * hw.num_devices,
-                                            hw.mem_bandwidth, hw.num_devices),
-                         feasible, devices)
+    fields = _point(spec, hw, ridge_point(hw, spec.weight_bits), point.phase,
+                    point.context_len, point.batch_size, include_activations, replicate_weights)
+    return PhaseAnalysis(PhaseMetrics(*fields[:4]), *fields[4:])
 
 
 class SweepRow(NamedTuple):
@@ -270,13 +272,13 @@ def sweep_workload(
     if trace.final_context < 1:
         raise ValueError(f"workload '{workload.name}' expands to zero tokens")
     batch = workload.batch_size
+    ridge = ridge_point(hw, spec.weight_bits)
     flags = (include_activations, replicate_weights)
 
     def row(kind: str, turn: Optional[int], phase: Phase, context_len: int,
             totals: tuple = (None, None)) -> SweepRow:
-        head = classify(spec, hw, OperatingPoint(context_len, batch, phase), *flags)
-        return SweepRow(kind, workload.name, turn, phase, batch, context_len, *head.metrics,
-                        *head[1:], *totals)
+        return SweepRow(kind, workload.name, turn, phase, batch, context_len,
+                        *_point(spec, hw, ridge, phase, context_len, batch, *flags), *totals)
 
     rows: List[SweepRow] = []
     for record in trace.records:

@@ -55,7 +55,7 @@ def ridge_point(hw: HardwareSpec, bits: int) -> float:
     bandwidth must each lie within 1e-100..1e100: the ridge is then a positive float,
     and the roofline's axes, 4x past the ridge and the peak in whole decades, stay finite."""
     peak, bandwidth = hw.peak_for(bits), hw.mem_bandwidth
-    if not (1e-100 <= peak <= 1e100 and 1e-100 <= bandwidth <= 1e100):  # runs per classify call
+    if not (1e-100 <= peak <= 1e100 and 1e-100 <= bandwidth <= 1e100):  # once per classify or sweep
         for name, rate in ((f"peak_flops[{bits}]", peak), ("mem_bandwidth", bandwidth)):
             _bound(name, rate, ">= 1e-100")
             _bound(name, rate, "<= 1e100")

@@ -13,8 +13,8 @@ from typing import List, Tuple
 
 from .model import _bound
 
-# Rows one sweep may have. sweep_grid and sweep_workload hold them all, about 570 MB
-# at 283 bytes a row (tracemalloc, 128k grid); the CLI streams a grid a block at a time.
+# Rows one sweep may have. Held, they take about 570 MB as sweep_grid rows (283 B each) and
+# 710 MB as sweep_workload rows (354 B; 422 B at its peak), by tracemalloc. The CLI streams grids.
 MAX_SWEEP_ROWS = 2_000_000
 MAX_TURNS = (MAX_SWEEP_ROWS - 2) // 2  # a prefill and a decode row a turn, two totals
 

@@ -599,6 +599,84 @@ class TestSweepGridColumns:
         assert built == [PhaseMetrics, PhaseAnalysis] * len(calls)
 
 
+class TestWorkloadPointPath:
+    """sweep_workload reads the ridge once and builds each row from classify's
+    point function: no OperatingPoint, PhaseMetrics or PhaseAnalysis, and no
+    classify call, yet every row equals classify at its point."""
+
+    # kind -> (carry_context, prefill tokens a turn, decode tokens a turn), as randint ranges
+    KINDS = {
+        "no-carry": (False, (1, 20_000), (0, 2_000)),
+        "no-prefill": (True, (0, 0), (1, 20_000)),
+        "no-decode": (True, (1, 20_000), (0, 0)),
+    }
+
+    def test_no_point_result_or_classify_per_row(self, monkeypatch):
+        calls, ridges, points, built = [], [], [], []
+        original_classify, original_ridge = analysis.classify, analysis.ridge_point
+        checked = OperatingPoint.__post_init__
+
+        def counting(*args):
+            calls.append(args)
+            return original_classify(*args)
+
+        def reading(*args):
+            ridges.append(args)
+            return original_ridge(*args)
+
+        def counted(point):
+            points.append(point)
+            checked(point)
+
+        def recorded(result_type):
+            def build(*fields):
+                built.append(result_type)
+                return result_type(*fields)
+            return build
+
+        monkeypatch.setattr(analysis, "classify", counting)
+        monkeypatch.setattr(analysis, "ridge_point", reading)
+        monkeypatch.setattr(OperatingPoint, "__post_init__", counted)
+        for result_type in (PhaseMetrics, PhaseAnalysis):
+            monkeypatch.setattr(analysis, result_type.__name__, recorded(result_type))
+        hw = resolve_config("b200-node8", "hardware")
+        workload = WorkloadSpec("w", turns=50, prefill_tokens_per_turn=4_000,
+                                decode_tokens_per_turn=500, batch_size=4)
+        result = sweep_workload(ref48_spec(), hw, workload)
+        assert len(result.rows) == 2 * 50 + 2
+        assert (calls, points, built) == ([], [], [])
+        assert len(ridges) == 1
+
+    @pytest.mark.parametrize("include_activations", [False, True])
+    @pytest.mark.parametrize("replicate_weights", [False, True])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_rows_equal_classify(self, kind, include_activations, replicate_weights):
+        rng = random.Random(f"{kind}-{include_activations}-{replicate_weights}")
+        flags = (include_activations, replicate_weights)
+        carry, prefill, decode = self.KINDS[kind]
+        seen, phases = set(), set()
+        for _ in range(40):
+            spec = random_model(rng)
+            workload = WorkloadSpec("w", turns=rng.randint(1, 4),
+                                    prefill_tokens_per_turn=rng.randint(*prefill),
+                                    decode_tokens_per_turn=rng.randint(*decode),
+                                    carry_context=carry, batch_size=rng.randint(1, 64))
+            hw = boundary_hardware(rng, spec, OperatingPoint(
+                rng.randint(1, 50_000), workload.batch_size, Phase.DECODE), include_activations)
+            rows = sweep_workload(spec, hw, workload, *flags).rows
+            points = [row for row in rows if row.row_kind == "point"]
+            if not carry:  # every turn starts from an empty context
+                assert len({(row.phase, row.context_len) for row in points}) <= 2
+            for row in rows:
+                point = OperatingPoint(row.context_len, row.batch_size, row.phase)
+                assert row[6:16] == flat(classify(spec, hw, point, *flags))
+                seen.add(row.bound_class)
+            phases.update(row.phase for row in points)
+        assert len(seen) >= 3
+        assert phases == {"no-carry": set(Phase), "no-prefill": {Phase.DECODE},
+                          "no-decode": {Phase.PREFILL}}[kind]
+
+
 class TestStreamedGrid:
     """iter_grid makes sweep_grid's rows a block per (phase, batch), and
     grid_bounds gives, before the first row is made, what the renderers need

@@ -1,7 +1,7 @@
 """The benchmark's per-layer tracer (perfbench/tracer.py) wraps caproof
 functions by name. A rename or a deleted function breaks the traced benchmark
 runs without failing any other test, so this file loads the tracer unchanged
-and checks every name it binds, then runs it on two commands."""
+and checks every name it binds, then runs it on three commands."""
 
 import importlib.util
 import json
@@ -39,6 +39,7 @@ def test_every_traced_name_resolves(tracer):
     ["analyze", "--model", "dense-70b", "--hardware", "b200-sxm",
      "--batch", "1,16", "--context", "4k,300k"],
     ["compare-moe", "--model", "dense-70b", "--model", "moe-256e"],
+    ["sweep", "--model", "dense-70b", "--hardware", "b200-sxm", "--workload", "chatbot"],
 ])
 def test_traced_run_exits_0(argv, tmp_path):
     stats = tmp_path / "stats.json"
@@ -50,3 +51,5 @@ def test_traced_run_exits_0(argv, tmp_path):
     spans = json.loads(stats.read_text())["spans"]
     if argv[0] == "analyze":
         assert spans["analysis.classify"][0] >= 1
+    if argv[0] == "sweep":
+        assert spans["analysis.sweep"][0] >= 1

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, PhaseMetrics, _metrics
 from .model import ModelSpec, Phase, _bound
-from .workload import WorkloadSpec, expand, total_tokens
+from .workload import WorkloadSpec, _context
 
 
 class BoundClass(enum.Enum):
@@ -259,36 +259,36 @@ def grid_bounds(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],
     return min(ois), max(ois), exceeded
 
 
-def sweep_workload(
-    spec: ModelSpec,
-    hw: HardwareSpec,
-    workload: WorkloadSpec,
-    include_activations: bool = False,
-    replicate_weights: bool = False,
-) -> SweepResult:
-    """Per-turn prefill/decode points for an agent workload, plus one
-    aggregate row per phase at the final context with the token totals."""
-    trace = expand(workload)
-    if trace.final_context < 1:
+def _workload_rows(spec: ModelSpec, hw: HardwareSpec, workload: WorkloadSpec,
+                   turns: Iterable[int], *flags: bool) -> Iterator[SweepRow]:
+    """The point rows of the given turns, one per phase with tokens, then a workload_total
+    row per phase at the final context, from the trace's closed form and _point. The
+    zero-token check runs at the first row, then the ridge is read once."""
+    prefill, decode = workload.prefill_tokens_per_turn, workload.decode_tokens_per_turn
+    if (final := _context(workload, workload.turns - 1) + prefill + decode) < 1:
         raise ValueError(f"workload '{workload.name}' expands to zero tokens")
-    batch = workload.batch_size
-    ridge = ridge_point(hw, spec.weight_bits)
-    flags = (include_activations, replicate_weights)
+    batch, ridge = workload.batch_size, ridge_point(hw, spec.weight_bits)
 
     def row(kind: str, turn: Optional[int], phase: Phase, context_len: int,
             totals: tuple = (None, None)) -> SweepRow:
         return SweepRow(kind, workload.name, turn, phase, batch, context_len,
                         *_point(spec, hw, ridge, phase, context_len, batch, *flags), *totals)
 
-    rows: List[SweepRow] = []
-    for record in trace.records:
-        turn = record.turn_index
-        if record.prefill_tokens > 0:
-            end = record.prefill_start_context + record.prefill_tokens
-            rows.append(row("point", turn, Phase.PREFILL, end))
-        if record.decode_tokens > 0:
-            rows.append(row("point", turn, Phase.DECODE, record.cumulative_context))
-    totals = total_tokens(trace)
-    for phase in (Phase.PREFILL, Phase.DECODE):
-        rows.append(row("workload_total", None, phase, trace.final_context, totals))
-    return SweepResult(model=spec.name, hardware=hw.name, rows=tuple(rows))
+    for turn in turns:
+        start = _context(workload, turn)
+        if prefill > 0:
+            yield row("point", turn, Phase.PREFILL, start + prefill)
+        if decode > 0:
+            yield row("point", turn, Phase.DECODE, start + prefill + decode)
+    for phase in Phase:
+        yield row("workload_total", None, phase, final, (workload.turns * prefill,
+                                                         workload.turns * decode))
+
+
+def sweep_workload(spec: ModelSpec, hw: HardwareSpec, workload: WorkloadSpec,
+                   include_activations: bool = False,
+                   replicate_weights: bool = False) -> SweepResult:
+    """Per-turn prefill/decode points for an agent workload, plus one
+    aggregate row per phase at the final context with the token totals."""
+    return SweepResult(model=spec.name, hardware=hw.name, rows=tuple(_workload_rows(
+        spec, hw, workload, range(workload.turns), include_activations, replicate_weights)))

@@ -212,7 +212,7 @@ def _sweep_command(args) -> reports.Report:
     flags = (args.include_activations, args.replicate_weights)
     if workload_ref is not None:
         workload = resolve_config(workload_ref, "workload", args.allow_unknown_keys)
-        rows = sweep_workload(model, hw, workload, *flags).rows
+        rows = _flag(workload_ref, sweep_workload, model, hw, workload, *flags).rows
         blocks, ois = (rows,), [row.oi for row in rows]
         oi_lo, oi_hi = min(ois), max(ois)
         exceeded = any(row.bound_class is BoundClass.CAPACITY_EXCEEDED for row in rows)
@@ -266,9 +266,10 @@ def _compare_moe(args) -> reports.Report:
 
 def _agent_profile(args) -> reports.Report:
     model, hw = _model_and_hardware(args)
-    workloads = _resolve_distinct(args, "workload", args.workload or list_catalog("workload"))
-    rows = reports.agent_profile_rows(model, hw, workloads, args.include_activations,
-                                      args.replicate_weights)
+    refs = args.workload or list_catalog("workload")
+    flags = (args.include_activations, args.replicate_weights)
+    rows = [_flag(ref, reports.agent_profile_rows, model, hw, [workload], *flags)[0]
+            for ref, workload in zip(refs, _resolve_distinct(args, "workload", refs))]
     return reports.Report(
         csv=lambda out: reports.whole(out, reports.agent_profile_csv(rows)),
         text=lambda out: reports.whole(out, reports.agent_profile_text(rows, model, hw)),

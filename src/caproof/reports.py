@@ -17,7 +17,7 @@ import io
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Iterable, List, Optional, Sequence, TextIO, Tuple
 
-from .analysis import BoundClass, SweepResult, SweepRow, sweep_workload
+from .analysis import BoundClass, SweepResult, SweepRow, _workload_rows
 from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, cf_request, decode_metrics
 from .model import ModelSpec, Phase, kv_bytes_per_token, weight_bytes
@@ -372,19 +372,16 @@ def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
     return canvas.to_svg()
 
 
-def agent_profile_rows(
-    model: ModelSpec,
-    hw: HardwareSpec,
-    workloads: Sequence[WorkloadSpec],
-    include_activations: bool = False,
-    replicate_weights: bool = False,
-) -> List[Dict[str, object]]:
+def agent_profile_rows(model: ModelSpec, hw: HardwareSpec, workloads: Sequence[WorkloadSpec],
+                       include_activations: bool = False,
+                       replicate_weights: bool = False) -> List[Dict[str, object]]:
     """One row per workload: its token totals and the two workload_total rows
-    of sweep_workload, which classify both phases at the final context."""
+    of sweep_workload, which classify both phases at the final context, made
+    without its per-turn rows."""
     rows: List[Dict[str, object]] = []
     for workload in workloads:
-        prefill, decode = sweep_workload(model, hw, workload, include_activations,
-                                         replicate_weights).rows[-2:]
+        prefill, decode = _workload_rows(model, hw, workload, (), include_activations,
+                                         replicate_weights)
         rows.append(
             {
                 "workload": workload.name,

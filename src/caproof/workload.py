@@ -9,12 +9,12 @@ generated tokens stay cached and the next turn's input lands on top of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from .model import _bound
 
 # Rows one sweep may have. Held, they take about 570 MB as sweep_grid rows (283 B each) and
-# 710 MB as sweep_workload rows (354 B; 422 B at its peak), by tracemalloc. The CLI streams grids.
+# 690 MB as sweep_workload rows (344 B; 345 B at its peak), by tracemalloc. The CLI streams grids.
 MAX_SWEEP_ROWS = 2_000_000
 MAX_TURNS = (MAX_SWEEP_ROWS - 2) // 2  # a prefill and a decode row a turn, two totals
 
@@ -59,20 +59,21 @@ class TurnTrace:
         return self.records[-1].cumulative_context
 
 
+def _context(spec: WorkloadSpec, turn: int) -> int:
+    """The context turn `turn` (from 0) starts at: all earlier turns' tokens if carried."""
+    step = spec.prefill_tokens_per_turn + spec.decode_tokens_per_turn
+    return turn * step if spec.carry_context else 0
+
+
 def expand(spec: WorkloadSpec) -> TurnTrace:
     """Expand a workload into its deterministic per-turn trace."""
-    records: List[TurnRecord] = []
     prefill, decode = spec.prefill_tokens_per_turn, spec.decode_tokens_per_turn
-    cumulative = 0
-    for turn in range(spec.turns):
-        start = cumulative if spec.carry_context else 0
-        cumulative = start + prefill + decode
-        records.append(TurnRecord(turn, start, prefill, decode, cumulative))
-    return TurnTrace(workload=spec, records=tuple(records))
+    return TurnTrace(workload=spec, records=tuple(
+        TurnRecord(turn, (start := _context(spec, turn)), prefill, decode, start + prefill + decode)
+        for turn in range(spec.turns)))
 
 
 def total_tokens(trace: TurnTrace) -> Tuple[int, int]:
     """(prefill_total, decode_total) summed over all turns."""
-    prefill = sum(r.prefill_tokens for r in trace.records)
-    decode = sum(r.decode_tokens for r in trace.records)
-    return prefill, decode
+    spec = trace.workload
+    return spec.turns * spec.prefill_tokens_per_turn, spec.turns * spec.decode_tokens_per_turn

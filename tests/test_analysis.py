@@ -29,7 +29,7 @@ from caproof.model import (
     kv_bytes_per_token,
     weight_bytes,
 )
-from caproof.workload import WorkloadSpec
+from caproof.workload import TurnRecord, WorkloadSpec, expand
 from oracles import random_model
 
 
@@ -675,6 +675,58 @@ class TestWorkloadPointPath:
         assert len(seen) >= 3
         assert phases == {"no-carry": set(Phase), "no-prefill": {Phase.DECODE},
                           "no-decode": {Phase.PREFILL}}[kind]
+
+
+class TestWorkloadClosedForm:
+    """Workload rows come from the trace's closed form: no TurnRecord is built,
+    and agent_profile_rows analyses only the two totals rows of a workload."""
+
+    @pytest.fixture
+    def point_calls(self, monkeypatch):
+        calls = []
+        original = analysis._point
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "_point", counting)
+        return calls
+
+    @pytest.mark.parametrize("include_activations", [False, True])
+    @pytest.mark.parametrize("replicate_weights", [False, True])
+    def test_agent_profile_makes_two_points_a_workload(self, point_calls, include_activations,
+                                                       replicate_weights):
+        hw = resolve_config("b200-node8", "hardware")
+        workloads = [WorkloadSpec(f"w{i}", turns=1_000, prefill_tokens_per_turn=1_000 * i,
+                                  decode_tokens_per_turn=100, carry_context=i % 2 == 0)
+                     for i in range(3)]
+        rows = reports.agent_profile_rows(ref48_spec(), hw, workloads, include_activations,
+                                          replicate_weights)
+        assert len(rows) == 3
+        assert len(point_calls) == 2 * len(workloads)
+        finals = [row["final_context"] for row in rows]
+        assert finals == [100_000, 1_100, 2_100_000]
+        assert [call[3:5] for call in point_calls] == [
+            (phase, final) for final in finals for phase in (Phase.PREFILL, Phase.DECODE)]
+
+    def test_no_turn_record_built(self, monkeypatch, point_calls):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return TurnRecord(*args)
+
+        monkeypatch.setattr("caproof.workload.TurnRecord", counting)
+        hw = resolve_config("b200-node8", "hardware")
+        spec = WorkloadSpec("w", turns=1_000, prefill_tokens_per_turn=4_000,
+                            decode_tokens_per_turn=500)
+        reports.agent_profile_rows(ref48_spec(), hw, [spec])
+        assert len(sweep_workload(ref48_spec(), hw, spec).rows) == 2 * 1_000 + 2
+        assert len(point_calls) == 2 + 2 * 1_000 + 2
+        assert built == []
+        expand(spec)  # the public trace still builds its records
+        assert len(built) == 1_000
 
 
 class TestStreamedGrid:

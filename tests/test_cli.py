@@ -564,6 +564,25 @@ class TestInputBounds:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["sweep", "--workload", "./zero.json"],
+        ["roofline-plot", "--workload", "./zero.json"],
+        ["agent-profile", "--workload", "chatbot", "--workload", "./zero.json"]])
+    def test_zero_token_workload_names_the_file(self, argv, tmp_path, capsys, monkeypatch):
+        """The workload is named as given, among others on agent-profile."""
+        (tmp_path / "zero.json").write_text(json.dumps({
+            "type": "workload", "name": "zero", "turns": 3, "prefill_tokens_per_turn": 0,
+            "decode_tokens_per_turn": 0}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["caproof", argv[0], "--model", "dense-70b",
+                                          "--hardware", "b200-sxm", *argv[1:], "--out", "out"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: ./zero.json: workload 'zero' expands to zero tokens\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
         ["analyze"], ["sweep", "--workload", "chatbot"],
         ["roofline-plot", "--workload", "coding-agent"], ["agent-profile"]])
     def test_precision_the_hardware_lacks_names_model_and_key(self, argv, tmp_path, capsys,

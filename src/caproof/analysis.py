@@ -49,25 +49,25 @@ def _device_capacity_bits(hw: HardwareSpec) -> int:
     return int(hw.mem_capacity) * 8
 
 
+def _b_max(weights: int, kv_bits: int, cap: int) -> int:
+    """B_max: how many requests of kv_bits fit in cap bits beside the weights; < 1 if none."""
+    return (cap - weights) // kv_bits
+
+
 def _feasible_batch(weights: int, kv_bits: int, cap: int, num_devices: int,
                     replicate_weights: bool) -> int:
     """max_feasible_batch from weight bits and one request's KV bits."""
     if replicate_weights:
-        return num_devices * max(0, (cap - weights) // kv_bits)
-    total_cap = num_devices * cap
-    if weights > total_cap:
-        return 0
-    return (total_cap - weights) // kv_bits
+        return num_devices * max(0, _b_max(weights, kv_bits, cap))
+    return max(0, _b_max(weights, kv_bits, num_devices * cap))
 
 
 def _device_count(weights: int, kv_bits: int, cap: int, batch_size: int,
                   replicate_weights: bool) -> int:
     """min_devices from weight bits and one request's KV bits."""
     if replicate_weights:
-        per_device = (cap - weights) // kv_bits
-        if per_device < 1:
-            return 0
-        return -(-batch_size // per_device)
+        per_device = _b_max(weights, kv_bits, cap)
+        return -(-batch_size // per_device) if per_device >= 1 else 0
     return -(-(weights + batch_size * kv_bits) // cap)
 
 
@@ -124,11 +124,10 @@ def _point(spec: ModelSpec, hw: HardwareSpec, ridge: float, phase: Phase, length
     metrics = _metrics(costs, phase, length, batch, include_activations, flops)
     weights, kv_bits = costs.weight_bits, costs.kv_bits * length
     cap_dev = _device_capacity_bits(hw)
-    if weights + kv_bits > cap_dev:
+    if (best := _b_max(weights, kv_bits, cap_dev)) < 1:
         column = (BoundClass.CAPACITY_EXCEEDED, 0.0, 0.0, 0.0)
     else:
-        best_oi = _metrics(costs, phase, length, (cap_dev - weights) // kv_bits,
-                           include_activations, flops)[0]
+        best_oi = _metrics(costs, phase, length, best, include_activations, flops)[0]
         column = (BoundClass.BANDWIDTH_BOUND if best_oi >= ridge else BoundClass.CAPACITY_LIMITED,
                   best_oi * hw.mem_bandwidth / flops * hw.num_devices, best_oi / ridge, 1.0)
     compute_rate = hw.peak_for(spec.weight_bits) / flops * hw.num_devices
@@ -255,7 +254,8 @@ def grid_bounds(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],
     costs, ends = spec.costs, {min(batch_sizes), max(batch_sizes)}
     ois = [_metrics(costs, phase, length, batch, include_activations)[0]
            for phase in set(phases) for length in context_lens for batch in ends]
-    exceeded = costs.weight_bits + costs.kv_bits * max(context_lens) > _device_capacity_bits(hw)
+    exceeded = _b_max(costs.weight_bits, costs.kv_bits * max(context_lens),
+                           _device_capacity_bits(hw)) < 1
     return min(ois), max(ois), exceeded
 
 

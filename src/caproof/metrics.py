@@ -56,9 +56,9 @@ def _metrics(costs: ModelCosts, phase: Phase, length: int, batch: int,
              flops: Optional[float] = None) -> Tuple[float, float, float, float]:
     """(oi, cf, flops_per_token, bytes_per_token) at context length L and
     batch B, from the spec's costs. The one formula behind cf_request, the
-    three *_metrics functions and analysis._point and iter_grid, which
-    read a point and its largest per-device batch from it; arguments are not
-    validated here. flops is float(costs.token_flops(phase, L)); a caller
+    three *_metrics functions, analysis._point and iter_grid (a point and its
+    largest per-device batch) and analysis.grid_bounds (a grid's batch ends);
+    nothing is validated here. flops is float(costs.token_flops(phase, L)); a caller
     that evaluates one L at many batches passes it, read once per L."""
     if flops is None:
         flops = float(costs.token_flops(phase, length))

@@ -127,6 +127,30 @@ class TestMinDevices:
                 assert fits == (devices >= k)
 
 
+def test_capacity_rule_equals_brute_force():
+    """B_max, the feasible batch and the device count equal the largest batch or
+    smallest device count that fits, found by search, on small integers in bits."""
+    def largest_batch(cap):
+        return max(b for b in range(100) if b == 0 or weights + b * kv_bits <= cap)
+
+    for weights in range(0, 30):
+        for kv_bits in range(1, 6):
+            for cap in range(1, 30):
+                per_device = largest_batch(cap)
+                assert max(0, analysis._b_max(weights, kv_bits, cap)) == per_device
+                for devices in (1, 2, 3):
+                    assert analysis._feasible_batch(weights, kv_bits, cap, devices,
+                                                    False) == largest_batch(devices * cap)
+                    assert analysis._feasible_batch(weights, kv_bits, cap, devices,
+                                                    True) == devices * per_device
+                for batch in (1, 2, 5):
+                    assert analysis._device_count(weights, kv_bits, cap, batch, False) == min(
+                        n for n in range(100) if weights + batch * kv_bits <= n * cap)
+                    assert analysis._device_count(weights, kv_bits, cap, batch, True) == (
+                        min(n for n in range(1, 100) if n * per_device >= batch)
+                        if per_device else 0)
+
+
 class TestClassify:
     def test_compute_bound_constructed(self):
         spec = ref48_spec()

@@ -182,6 +182,37 @@ class TestCommands:
                  "--grid", "B=1,2,L=4k", "--out", str(tmp_path)])
         assert list(tmp_path.iterdir()) == []
 
+    def test_artifact_that_cannot_be_opened_removes_the_others(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """A dangling symlink passes the --out check but fails open: the artifacts
+        opened before it are removed and the link is left."""
+        (tmp_path / "analyze.txt").symlink_to(tmp_path / "missing" / "target")
+        monkeypatch.setattr(sys, "argv", ["caproof", "analyze", "--model", "dense-70b",
+                                          "--hardware", "b200-sxm", "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: --out: No such file or directory: '{tmp_path}/analyze.txt'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["analyze.txt"]
+        assert (tmp_path / "analyze.txt").is_symlink()
+
+    def test_agent_profile_draws_no_bar_for_zero_decode_tokens(self, tmp_path):
+        silent = tmp_path / "silent.json"
+        silent.write_text(json.dumps({"type": "workload", "name": "silent", "turns": 3,
+                                      "prefill_tokens_per_turn": 100,
+                                      "decode_tokens_per_turn": 0}))
+        svgs = []
+        for run_index, other in enumerate((str(silent), "web-use")):
+            out = tmp_path / f"out{run_index}"
+            assert run(["agent-profile", "--model", "dense-70b", "--hardware", "b200-node8",
+                        "--workload", "chatbot", "--workload", other, "--format", "svg",
+                        "--out", str(out)]) == 0
+            svgs.append((out / "agent-profile.svg").read_text())
+        decode_bar = 'fill="#d69e2e"/>'
+        assert svgs[0].count("<rect") == svgs[1].count("<rect") - 1
+        assert svgs[0].count(decode_bar) == svgs[1].count(decode_bar) - 1
+
 
 class TestOutCheckedBeforeAnalysis:
     """An unusable --out is found before the command classifies anything."""
@@ -331,6 +362,7 @@ class TestFlags:
         (["sweep", "--grid", "B=,L=4k"], "--grid: not an integer: ''"),
         (["sweep", "--grid", "L=4k..1k"], "--grid: bad range '4k..1k': need 1 <= start <= stop"),
         (["sweep", "--grid", "X=1"], "--grid: unknown grid dimension 'X' (use B and L)"),
+        (["sweep", "--grid", "5,B=1"], "--grid: grid piece '5' appears before any dimension"),
         (["analyze", "--format", "x"],
          "--format: unknown output format 'x' (use csv, svg, text)"),
         (["analyze", "--format", ","], "--format: at least one output format is required"),

@@ -204,6 +204,31 @@ def test_cli_error_names_the_file_once(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"error: {path}: key 'num_layers' must be int, got str\n"
 
 
+@pytest.mark.parametrize("kind, data, message", [
+    ("model", [MINIMAL_MODEL], "top level must be a JSON object"),
+    ("hardware", dict(HARDWARE, peak_flops={"abc": 1e15}),
+     "peak_flops key 'abc' is not an integer bit width"),
+    ("model", dict(MINIMAL_MODEL, attention=[1]), "key 'attention' must be an object, got list"),
+    ("model", dict(MINIMAL_MODEL, moe=5), "key 'moe' must be an object, got int"),
+    ("hardware", dict(HARDWARE, mem_bandwidth=int("9" * 400)),
+     "key 'mem_bandwidth' must be a finite number, got inf"),
+    ("model", dict(MINIMAL_MODEL, d_model=66),
+     "head_dim omitted but d_model is not divisible by num_heads (66 / 4)"),
+])
+def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, kind, data,
+                                                     message):
+    path = write(tmp_path, "bad.json", data)
+    refs = {"model": "dense-70b", "hardware": "b200-sxm", kind: str(path)}
+    out = tmp_path / "out"
+    monkeypatch.setattr("sys.argv", ["caproof", "analyze", "--model", refs["model"],
+                                     "--hardware", refs["hardware"], "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
 def test_nested_errors_name_the_nested_object(tmp_path):
     bad_moe = dict(MOE_MODEL, moe=dict(MOE_MODEL["moe"], top_k=8))
     with pytest.raises(ConfigError, match=r"m\.json\.moe: top_k \(8\) must not exceed"):

@@ -116,6 +116,16 @@ class TestCfRequest:
         assert cf_request(half_w, point) == cf_request(spec, point) - weight_bytes(spec) / 8
 
 
+@pytest.mark.parametrize("function, phase, message", [
+    (prefill_metrics, Phase.DECODE, "prefill_metrics requires a PREFILL point, got Phase.DECODE"),
+    (decode_metrics, Phase.PREFILL, "decode_metrics requires a DECODE point, got Phase.PREFILL"),
+])
+def test_phase_metrics_reject_the_other_phase(function, phase, message):
+    with pytest.raises(ValueError) as exc:
+        function(ref48_spec(), OperatingPoint(16, 1, phase))
+    assert str(exc.value) == message
+
+
 class TestDecodeMetrics:
     def test_toy_hand_ratio(self):
         spec = ModelSpec(name="t", num_layers=1, d_model=2, num_heads=1,

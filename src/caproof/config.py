@@ -63,8 +63,8 @@ def _check(value: Any, key: str, kind: type, source: str) -> Any:
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         try:
             value = float(value)
-        except OverflowError:  # an integer beyond float range
-            value = math.inf
+        except OverflowError:
+            _fail(source, f"key '{key}' must be a finite number, got an integer beyond float range")
     if not isinstance(value, kind):
         _fail(source, f"key '{key}' must be {kind.__name__}, got {type(value).__name__}")
     if kind is int and abs(value) > MAX_EXACT_INT:

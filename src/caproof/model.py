@@ -193,11 +193,6 @@ class ModelCosts(NamedTuple):
         return 2 * self.matmul_weights + 4 * self.attn * length
 
 
-def _ffn_matrix_count(spec: ModelSpec) -> int:
-    # Gated FFN uses gate/up/down; plain FFN only up/down.
-    return 3 if spec.ffn_gated else 2
-
-
 def _kv_width(spec: ModelSpec) -> int:
     """Cached elements per token per layer: K and V per head for MHA, per KV
     head for GQA, one latent (+rope) vector for MLA."""
@@ -208,22 +203,23 @@ def _kv_width(spec: ModelSpec) -> int:
     return 2 * kv_heads * spec.head_dim
 
 
-def _attn_params_per_layer(spec: ModelSpec) -> int:
-    """Query and output projections plus the K/V projections, d_model x the
-    cached K/V width. For MLA that is the single joint down-projection; its
-    per-head up-projections are folded into the query/output terms."""
+def _params(spec: ModelSpec, experts: int) -> int:
+    """Weights with `experts` routed experts per MoE layer: the embedding and
+    the untied output head, plus per layer the query and output projections,
+    the K/V projections (d_model x the cached K/V width; for MLA the joint
+    down-projection, its per-head up-projections folded into query/output) and
+    the FFN, or the routed and shared experts plus the router. A gated FFN or
+    expert has gate/up/down matrices, a plain one up/down."""
     q_out = spec.num_heads * spec.head_dim
-    return spec.d_model * q_out + q_out * spec.d_model + spec.d_model * _kv_width(spec)
-
-
-def _ffn_params_per_layer(spec: ModelSpec, activated_only: bool) -> int:
-    if spec.moe is None:
-        return _ffn_matrix_count(spec) * spec.d_model * spec.d_ff
+    ffn = (3 if spec.ffn_gated else 2) * spec.d_model
+    per_layer = 2 * spec.d_model * q_out + spec.d_model * _kv_width(spec)
     moe = spec.moe
-    per_expert = _ffn_matrix_count(spec) * spec.d_model * moe.d_ff_expert
-    experts = moe.top_k if activated_only else moe.num_experts
-    router = spec.d_model * moe.num_experts
-    return (experts + moe.num_shared_experts) * per_expert + router
+    if moe is None:
+        per_layer += ffn * spec.d_ff
+    else:
+        counted = experts + moe.num_shared_experts
+        per_layer += counted * ffn * moe.d_ff_expert + spec.d_model * moe.num_experts
+    return 2 * embedding_params(spec) + spec.num_layers * per_layer
 
 
 def embedding_params(spec: ModelSpec) -> int:
@@ -231,17 +227,13 @@ def embedding_params(spec: ModelSpec) -> int:
 
 
 def total_params(spec: ModelSpec) -> int:
-    """All weights: embedding + per-layer attention + FFN/MoE + output head."""
-    per_layer = _attn_params_per_layer(spec) + _ffn_params_per_layer(spec, False)
-    head = spec.d_model * spec.vocab_size
-    return embedding_params(spec) + spec.num_layers * per_layer + head
+    """All weights: every routed expert of an MoE layer counts."""
+    return _params(spec, spec.moe.num_experts if spec.moe else 0)
 
 
 def activated_params(spec: ModelSpec) -> int:
     """Weights touched per token: top_k + shared experts for MoE, else all."""
-    per_layer = _attn_params_per_layer(spec) + _ffn_params_per_layer(spec, True)
-    head = spec.d_model * spec.vocab_size
-    return embedding_params(spec) + spec.num_layers * per_layer + head
+    return _params(spec, spec.moe.top_k if spec.moe else 0)
 
 
 def weight_bytes(spec: ModelSpec) -> float:

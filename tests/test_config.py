@@ -10,6 +10,7 @@ from caproof.config import (
     dump_config,
     list_catalog,
     load_config,
+    parse_config,
     resolve_config,
     spec_to_dict,
 )
@@ -211,7 +212,7 @@ def test_cli_error_names_the_file_once(tmp_path, capsys, monkeypatch):
     ("model", dict(MINIMAL_MODEL, attention=[1]), "key 'attention' must be an object, got list"),
     ("model", dict(MINIMAL_MODEL, moe=5), "key 'moe' must be an object, got int"),
     ("hardware", dict(HARDWARE, mem_bandwidth=int("9" * 400)),
-     "key 'mem_bandwidth' must be a finite number, got inf"),
+     "key 'mem_bandwidth' must be a finite number, got an integer beyond float range"),
     ("model", dict(MINIMAL_MODEL, d_model=66),
      "head_dim omitted but d_model is not divisible by num_heads (66 / 4)"),
 ])
@@ -227,6 +228,12 @@ def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, monkeypat
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not out.exists()
+
+
+def test_integer_beyond_float_range_fails_without_printing_it():
+    """An int too long for str() (over 4,300 digits) still gets its message."""
+    with pytest.raises(ConfigError, match="got an integer beyond float range"):
+        parse_config(dict(HARDWARE, mem_bandwidth=10**5000), "hw.json")
 
 
 def test_nested_errors_name_the_nested_object(tmp_path):

@@ -149,3 +149,18 @@ def test_memory_does_not_grow_with_the_batch_axis(grid, tmp_path):
                                       "--grid", f"B=1..{batches},{lengths}", "--out", str(out)])
         assert (out / "sweep.csv").read_text().count("\n") > batches * 250
     assert peaks[64] <= peaks[4] + 500_000, peaks
+
+
+def test_a_20k_turn_workload_sweep_stays_bounded(tmp_path):
+    """A workload sweep holds its rows (two per turn plus the totals), not
+    streamed like a grid: 20,000 turns of 2,000 prefill and 200 decode
+    tokens peak near 25 MB on Python 3.11. The bound catches a held path
+    that grows."""
+    workload = tmp_path / "long.json"
+    workload.write_text('{"type": "workload", "name": "long", "turns": 20000, '
+                        '"prefill_tokens_per_turn": 2000, "decode_tokens_per_turn": 200}')
+    out = tmp_path / "out"
+    peak = traced_peak(["sweep", "--model", "dense-70b", "--hardware", "b200-node8",
+                        "--workload", str(workload), "--out", str(out)])
+    assert (out / "sweep.csv").read_text().count("\n") == 40_003
+    assert peak < 32_000_000, peak

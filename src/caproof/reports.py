@@ -74,9 +74,11 @@ class Cells(dict):
     memoized: its length, FLOP count and feasible batch, and the rate and mfu
     of every row that is not bandwidth-bound. A per-row value (oi, cf, bytes,
     mbu, and a bandwidth-bound row's rate and mfu) would never be hit again,
-    so it is formatted directly and the memos hold O(columns) cells, not
-    O(rows). One instance holds values of one type, since equal keys share a
-    cell and 1 == 1.0."""
+    so it is formatted directly. On a grid the memos hold O(columns) cells,
+    not O(rows). Each row of a workload sweep has its own context, so there
+    the CSV's ints and floats and the text's memos gain cells with every
+    row: O(rows). One instance holds values of one type, since equal keys
+    share a cell and 1 == 1.0."""
 
     def __init__(self, render: Callable[..., str], *args):
         super().__init__()
@@ -135,15 +137,10 @@ def stream_sweep_csv(out: TextIO) -> Renderer:
         )
 
 
-def write_sweep_csv(result: SweepResult, out: TextIO) -> None:
-    """The sweep CSV of a held result, its rows sent as one block."""
-    stream([stream_sweep_csv(out)], [result.rows])
-
-
 def sweep_csv(result: SweepResult) -> str:
-    """The sweep CSV as one string."""
+    """The sweep CSV of a held result as one string, its rows sent as one block."""
     buf = io.StringIO()
-    write_sweep_csv(result, buf)
+    stream([stream_sweep_csv(buf)], [result.rows])
     return buf.getvalue()
 
 
@@ -329,46 +326,43 @@ def compare_moe_text(rows: List[Dict[str, object]], context_len: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
-    """Footprint bars with the amortized-weight floor shaded, plus decode-OI
-    bars. Both panels use log axes; footprints span orders of magnitude."""
-    width, height = 760, 420
-    canvas = Canvas(width, height)
-    mid = width // 2
-    x0, y0, x1, y1 = 70, 40, mid - 30, height - 90
-    cf_values = [row["cf_bytes"] for row in rows]
-    floor_values = [row["weight_floor_bytes"] for row in rows]
-    ys = LogScale(min(floor_values) / 2, max(cf_values) * 2, y1, y0)
-    draw_frame(canvas, x0, y0, x1, y1, title=f"footprint per request at context {si(context_len)}",
-               y_label="bytes per request", ys=ys)
+def _moe_panel(canvas, x0, y0, x1, y1, ys, rows, layers, title, y_label):
+    """A compare-moe panel: its frame, then one bar per row, each layer
+    (key, fill, opacity) drawn from y1 up to ys(row[key]) in order, and the
+    row's model and batch under the bar."""
+    draw_frame(canvas, x0, y0, x1, y1, title=title, y_label=y_label, ys=ys)
     slot = (x1 - x0) / len(rows)
     for i, row in enumerate(rows):
         bar_x = x0 + slot * i + slot * 0.2
-        bar_w = slot * 0.6
-        # full bar up to CF in the KV color, weight floor shaded over it
-        cf_top = ys(row["cf_bytes"])
-        canvas.rect(bar_x, cf_top, bar_w, y1 - cf_top, fill="#3182ce")
-        floor_top = ys(row["weight_floor_bytes"])
-        canvas.rect(bar_x, floor_top, bar_w, y1 - floor_top, fill="#a0aec0", opacity=0.9)
-        canvas.text(bar_x + bar_w / 2, y1 + 14, f"{row['model']}", size=8, anchor="middle", rotate=20)
-        canvas.text(bar_x + bar_w / 2, y1 + 26, f"B={row['batch_size']}", size=8, anchor="middle")
+        for key, fill, opacity in layers:
+            top = ys(row[key])
+            canvas.rect(bar_x, top, slot * 0.6, y1 - top, fill=fill, opacity=opacity)
+        canvas.text(bar_x + slot * 0.3, y1 + 14, f"{row['model']}", size=8, anchor="middle", rotate=20)
+        canvas.text(bar_x + slot * 0.3, y1 + 26, f"B={row['batch_size']}", size=8, anchor="middle")
+
+
+def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
+    """Footprint bars, each up to CF in the KV color with the amortized-weight
+    floor shaded over it, plus decode-OI bars. Both panels use log axes;
+    footprints span orders of magnitude."""
+    width, height = 760, 420
+    canvas = Canvas(width, height)
+    mid = width // 2
+    x0, y0, y1 = 70, 40, height - 90
+    ys = LogScale(min(row["weight_floor_bytes"] for row in rows) / 2,
+                  max(row["cf_bytes"] for row in rows) * 2, y1, y0)
+    _moe_panel(canvas, x0, y0, mid - 30, y1, ys, rows,
+               [("cf_bytes", "#3182ce", None), ("weight_floor_bytes", "#a0aec0", 0.9)],
+               f"footprint per request at context {si(context_len)}", "bytes per request")
     canvas.rect(x0, height - 34, 10, 10, fill="#a0aec0", opacity=0.9)
     canvas.text(x0 + 14, height - 25, "model weights (amortized)", size=9)
     canvas.rect(x0 + 180, height - 34, 10, 10, fill="#3182ce")
     canvas.text(x0 + 194, height - 25, "KV cache above the floor", size=9)
 
-    x0b, x1b = mid + 50, width - 40
     oi_values = [row["decode_oi"] for row in rows]
-    ysb = LogScale(min(oi_values) / 2, max(oi_values) * 2, y1, y0)
-    draw_frame(canvas, x0b, y0, x1b, y1, title="decode operational intensity", y_label="FLOPs/byte",
-               ys=ysb)
-    slot_b = (x1b - x0b) / len(rows)
-    for i, row in enumerate(rows):
-        bar_x = x0b + slot_b * i + slot_b * 0.2
-        top = ysb(row["decode_oi"])
-        canvas.rect(bar_x, top, slot_b * 0.6, y1 - top, fill="#d69e2e")
-        canvas.text(bar_x + slot_b * 0.3, y1 + 14, f"{row['model']}", size=8, anchor="middle", rotate=20)
-        canvas.text(bar_x + slot_b * 0.3, y1 + 26, f"B={row['batch_size']}", size=8, anchor="middle")
+    _moe_panel(canvas, mid + 50, y0, width - 40, y1,
+               LogScale(min(oi_values) / 2, max(oi_values) * 2, y1, y0), rows,
+               [("decode_oi", "#d69e2e", None)], "decode operational intensity", "FLOPs/byte")
     return canvas.to_svg()
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import random
 
 import pytest
@@ -311,9 +310,7 @@ class TestSweep:
         buffers = []
         for _ in range(2):
             result = sweep_grid(spec, hw, [1, 2], [1024], phases=(Phase.DECODE,))
-            buf = io.StringIO()
-            reports.write_sweep_csv(result, buf)
-            buffers.append(buf.getvalue())
+            buffers.append(reports.sweep_csv(result))
         assert buffers[0] == buffers[1]
         header = buffers[0].splitlines()[0]
         assert header.startswith("row_kind,workload,turn_index,phase,batch_size,context_len,oi")
@@ -751,6 +748,53 @@ class TestWorkloadClosedForm:
         assert built == []
         expand(spec)  # the public trace still builds its records
         assert len(built) == 1_000
+
+
+class TestWorkloadStrictVerdict:
+    """Whether a row fits is an integer rule in the context length alone
+    (_b_max), and the totals rows sit at the final, longest context. So a
+    workload sweep's row is capacity_exceeded only if both totals rows are,
+    and with carry_context the exceeded point rows are a suffix in turn order.
+    Without carry the rows alternate between two contexts, so no suffix."""
+
+    @staticmethod
+    def exceeded(rows):
+        return [row.bound_class is BoundClass.CAPACITY_EXCEEDED for row in rows]
+
+    @pytest.mark.parametrize("carry", [False, True])
+    def test_totals_rows_hold_the_verdict(self, carry):
+        rng = random.Random(f"strict-{carry}")
+        verdicts = []
+        for _ in range(200):
+            spec = random_model(rng)
+            prefill = rng.choice([0, rng.randint(1, 20_000), rng.randint(1, 20_000)])
+            decode = rng.randint(0 if prefill else 1, 2_000)
+            workload = WorkloadSpec("w", turns=rng.randint(1, 30), prefill_tokens_per_turn=prefill,
+                                    decode_tokens_per_turn=decode, carry_context=carry,
+                                    batch_size=rng.randint(1, 64))
+            final = (workload.turns if carry else 1) * (prefill + decode)
+            devices = rng.choice([1, 2, 4])
+            request = weight_bytes(spec) + (workload.batch_size * kv_bytes_per_token(spec)
+                                            * rng.randint(1, final))
+            hw = make_hw(1e15, 1e12, int(request / devices * 10 ** rng.uniform(-0.2, 0.2)) + 1,
+                         devices=devices)
+            rows = sweep_workload(spec, hw, workload, rng.random() < 0.5,
+                                  rng.random() < 0.5).rows
+            exceeded = self.exceeded(rows)
+            assert exceeded[-2:] == [any(exceeded)] * 2
+            if carry:
+                assert exceeded[:-2] == sorted(exceeded[:-2])
+            verdicts.append((any(exceeded), all(exceeded)))
+        assert sum(some for some, _ in verdicts) >= 30
+        assert verdicts.count((True, False)) >= (20 if carry else 1)  # some rows but not all
+
+    def test_coding_agent_exceeds_from_turn_12(self):
+        model = resolve_config("dense-70b", "model")
+        hw = resolve_config("b200-node8", "hardware")
+        rows = sweep_workload(model, hw, resolve_config("coding-agent", "workload")).rows
+        exceeded = self.exceeded(rows)
+        assert exceeded == [False] * 24 + [True] * 28
+        assert (rows[24].turn_index, rows[24].phase) == (12, Phase.PREFILL)
 
 
 class TestStreamedGrid:

@@ -158,6 +158,19 @@ class TestCommands:
         assert run(args) == 0
         assert run(args + ["--strict"]) == 3
 
+    @pytest.mark.parametrize("command", ["sweep", "roofline-plot"])
+    @pytest.mark.parametrize("workload, code", [("coding-agent", 3), ("chatbot", 0)])
+    def test_strict_workload_sweep_exit(self, tmp_path, command, workload, code):
+        """A workload sweep exits 3 under --strict exactly when a row it writes
+        is capacity_exceeded, and writes all three artifacts either way."""
+        assert run([command, "--model", "dense-70b", "--hardware", "b200-node8", "--workload",
+                    workload, "--strict", "--out", str(tmp_path)]) == code
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{command}.{ext}" for ext in ("csv", "svg", "txt")]
+        with open(tmp_path / f"{command}.csv") as handle:
+            classes = {row["bound_class"] for row in csv.DictReader(handle)}
+        assert ("capacity_exceeded" in classes) == (code == 3)
+
     def test_format_csv_renders_no_text_or_svg(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("rendered a format that was not asked for")

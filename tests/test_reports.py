@@ -16,7 +16,7 @@ from caproof.config import list_catalog, resolve_config
 from caproof.hardware import HardwareSpec
 from caproof.metrics import OperatingPoint
 from caproof.model import Phase, kv_bytes_per_token, weight_bytes
-from caproof.reports import CSV_COLUMNS, write_csv, write_sweep_csv
+from caproof.reports import CSV_COLUMNS, stream, stream_sweep_csv, sweep_csv, write_csv
 from caproof.workload import WorkloadSpec, expand, total_tokens
 from oracles import random_model
 
@@ -72,7 +72,7 @@ class TestCsvByteIdentity:
         workload = WorkloadSpec(name, turns=3, prefill_tokens_per_turn=100,
                                 decode_tokens_per_turn=10)
         result = sweep_workload(spec, random_hardware(rng, spec), workload)
-        assert streamed(lambda out: write_sweep_csv(result, out)) == reference_csv(result)
+        assert sweep_csv(result) == reference_csv(result)
 
     def test_mixed_names_in_one_result(self):
         rng = random.Random(5)
@@ -84,12 +84,11 @@ class TestCsvByteIdentity:
                                     decode_tokens_per_turn=5)
             rows += sweep_workload(spec, hw, workload).rows
         result = SweepResult("m", "h", tuple(rows))
-        assert streamed(lambda out: write_sweep_csv(result, out)) == reference_csv(result)
+        assert sweep_csv(result) == reference_csv(result)
 
     def test_random_grid_rows(self):
         for result in random_grids():
-            assert streamed(lambda out: write_sweep_csv(result, out)) == reference_csv(result)
-            assert reports.sweep_csv(result) == reference_csv(result)
+            assert sweep_csv(result) == reference_csv(result)
 
 
 class TestTextByteIdentity:
@@ -144,7 +143,7 @@ class TestBoundedWrites:
         model, hw, result = big_grid
         out = RecordingFile()
         if renderer == "csv":
-            write_sweep_csv(result, out)
+            stream([stream_sweep_csv(out)], [result.rows])
         elif renderer == "text":
             reports.sweep_text(result, out)
         else:

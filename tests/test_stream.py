@@ -49,11 +49,11 @@ def held_rows(command, grid, phases, flags=(False, False)):
 
 
 def held_artifacts(command, grid, phases, flags):
-    """Each format's bytes from write_sweep_csv, sweep_text and roofline_svg
-    over the materialised sweep_grid, and whether a row is capacity_exceeded."""
+    """Each format's bytes from sweep_csv, sweep_text and roofline_svg over
+    the materialised sweep_grid, and whether a row is capacity_exceeded."""
     model, hw, result = held_rows(command, grid, phases, flags)
-    rendered = {}
-    for fmt, render in (("csv", reports.write_sweep_csv), ("text", reports.sweep_text),
+    rendered = {"csv": reports.sweep_csv(result).encode()}
+    for fmt, render in (("text", reports.sweep_text),
                         ("svg", lambda result, out: reports.roofline_svg(model, hw, result, out))):
         buf = io.StringIO()
         render(result, buf)

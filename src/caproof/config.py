@@ -18,7 +18,7 @@ import json
 import math
 from importlib import resources
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .hardware import HardwareSpec
 from .model import GQA, MHA, MLA, MoESpec, ModelSpec
@@ -114,6 +114,8 @@ def _field(f: dataclasses.Field, value: Any, source: str, allow_unknown: bool) -
             try:
                 width = int(bits)
             except (TypeError, ValueError):
+                width = None
+            if str(width) != bits:  # "016", " 16" and "1_6" would alias the width 16
                 _fail(source, f"{f.name} key '{bits}' is not an integer bit width")
             peaks[width] = _check(rate, bits, float, inner)
         return peaks
@@ -140,15 +142,27 @@ def parse_config(data: Any, source: str, allow_unknown: bool = False) -> Spec:
     return _parse(_TYPES[kind], data, source, allow_unknown, "type")
 
 
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    """A JSON object's (key, value) pairs as a dict. A repeated key raises
+    ValueError, where json.loads would keep its last value silently."""
+    data: Dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key '{key}'")
+        data[key] = value
+    return data
+
+
 def load_config(path: Union[str, Path], allow_unknown: bool = False) -> Spec:
-    """Load one config file, dispatching on its "type" key."""
+    """Load one config file, dispatching on its "type" key. A key repeated
+    in any of its objects is an error."""
     path = Path(path)
     source = str(path)
     if not path.is_file():
         _fail(source, "no such config file")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer of too many digits
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # bad JSON, bad UTF-8, a repeated key or an int of too many digits
         _fail(source, f"invalid JSON: {exc}")
     return parse_config(data, source, allow_unknown)
 

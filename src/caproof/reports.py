@@ -326,10 +326,12 @@ def compare_moe_text(rows: List[Dict[str, object]], context_len: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _moe_panel(canvas, x0, y0, x1, y1, ys, rows, layers, title, y_label):
-    """A compare-moe panel: its frame, then one bar per row, each layer
-    (key, fill, opacity) drawn from y1 up to ys(row[key]) in order, and the
-    row's model and batch under the bar."""
+def _moe_panel(canvas, x0, y0, x1, y1, rows, layers, title, y_label):
+    """A compare-moe panel: its frame on a log axis over half the least to twice
+    the greatest layer value, then a bar per row, each layer (key, fill, opacity)
+    drawn from y1 up to its value in order, with the row's model and batch under it."""
+    values = [row[key] for row in rows for key, _, _ in layers]
+    ys = LogScale(min(values) / 2, max(values) * 2, y1, y0)
     draw_frame(canvas, x0, y0, x1, y1, title=title, y_label=y_label, ys=ys)
     slot = (x1 - x0) / len(rows)
     for i, row in enumerate(rows):
@@ -349,9 +351,7 @@ def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
     canvas = Canvas(width, height)
     mid = width // 2
     x0, y0, y1 = 70, 40, height - 90
-    ys = LogScale(min(row["weight_floor_bytes"] for row in rows) / 2,
-                  max(row["cf_bytes"] for row in rows) * 2, y1, y0)
-    _moe_panel(canvas, x0, y0, mid - 30, y1, ys, rows,
+    _moe_panel(canvas, x0, y0, mid - 30, y1, rows,
                [("cf_bytes", "#3182ce", None), ("weight_floor_bytes", "#a0aec0", 0.9)],
                f"footprint per request at context {si(context_len)}", "bytes per request")
     canvas.rect(x0, height - 34, 10, 10, fill="#a0aec0", opacity=0.9)
@@ -359,9 +359,7 @@ def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
     canvas.rect(x0 + 180, height - 34, 10, 10, fill="#3182ce")
     canvas.text(x0 + 194, height - 25, "KV cache above the floor", size=9)
 
-    oi_values = [row["decode_oi"] for row in rows]
-    _moe_panel(canvas, mid + 50, y0, width - 40, y1,
-               LogScale(min(oi_values) / 2, max(oi_values) * 2, y1, y0), rows,
+    _moe_panel(canvas, mid + 50, y0, width - 40, y1, rows,
                [("decode_oi", "#d69e2e", None)], "decode operational intensity", "FLOPs/byte")
     return canvas.to_svg()
 
@@ -412,65 +410,51 @@ def agent_profile_text(rows: List[Dict[str, object]], model: ModelSpec, hw: Hard
     return "\n".join(lines) + "\n"
 
 
-def _bar_panel_log(canvas, x0, y0, x1, y1, labels, series, colors, title, y_label):
-    """Grouped bars on a log y-axis. series: list of (name, values)."""
-    all_values = [v for _, values in series for v in values if v > 0]
-    ys = LogScale(min(all_values) / 2, max(all_values) * 2, y1, y0)
+def _bar_panel_log(canvas, x0, y0, x1, y1, rows, keys, colors, title, y_label):
+    """Grouped bars on a log y-axis from half the least to twice (as a float)
+    the greatest positive value of the keys: a group per row, labelled with
+    its workload, and a bar per key in colors' order. A value <= 0 draws no
+    bar. Returns the axis."""
+    values = [row[key] for row in rows for key in keys if row[key] > 0]
+    ys = LogScale(min(values) / 2, max(values) * 2.0, y1, y0)
     draw_frame(canvas, x0, y0, x1, y1, title=title, y_label=y_label, ys=ys)
-    slot = (x1 - x0) / len(labels)
+    slot = (x1 - x0) / len(rows)
     group_w = slot * 0.7
-    bar_w = group_w / len(series)
-    for i, label in enumerate(labels):
+    bar_w = group_w / len(keys)
+    for i, row in enumerate(rows):
         base_x = x0 + slot * i + slot * 0.15
-        for j, (_, values) in enumerate(series):
-            if values[i] <= 0:
-                continue
-            top = ys(values[i])
-            canvas.rect(base_x + j * bar_w, top, bar_w * 0.9, y1 - top, fill=colors[j])
-        canvas.text(base_x + group_w / 2, y1 + 14, label, size=8, anchor="middle", rotate=20)
+        for j, key in enumerate(keys):
+            if row[key] > 0:
+                top = ys(row[key])
+                canvas.rect(base_x + j * bar_w, top, bar_w * 0.9, y1 - top, fill=colors[j])
+        canvas.text(base_x + group_w / 2, y1 + 14, row["workload"], size=8, anchor="middle", rotate=20)
     return ys
 
 
 def agent_profile_svg(rows: List[Dict[str, object]], hw: HardwareSpec) -> str:
-    """Token totals, footprint vs one-device capacity, and phase OI per agent."""
+    """Token totals, footprint vs one-device capacity, and phase OI per agent.
+    The capacity line is drawn only where the capacity lies on the footprint axis."""
     width, height = 980, 430
     canvas = Canvas(width, height)
-    labels = [str(row["workload"]) for row in rows]
     y0, y1 = 40, height - 90
-    panels = [(60, 330), (390, 650), (710, 950)]
 
-    _bar_panel_log(
-        canvas, panels[0][0], y0, panels[0][1], y1, labels,
-        [
-            ("prefill", [float(r["prefill_total_tokens"]) for r in rows]),
-            ("decode", [float(r["decode_total_tokens"]) for r in rows]),
-        ],
-        ["#3182ce", "#d69e2e"],
-        "tokens per task", "tokens",
-    )
-    canvas.rect(panels[0][0], height - 34, 10, 10, fill="#3182ce")
-    canvas.text(panels[0][0] + 14, height - 25, "prefill", size=9)
-    canvas.rect(panels[0][0] + 70, height - 34, 10, 10, fill="#d69e2e")
-    canvas.text(panels[0][0] + 84, height - 25, "decode", size=9)
+    tokens_x0 = 60
+    _bar_panel_log(canvas, tokens_x0, y0, 330, y1, rows,
+                   ["prefill_total_tokens", "decode_total_tokens"], ["#3182ce", "#d69e2e"],
+                   "tokens per task", "tokens")
+    canvas.rect(tokens_x0, height - 34, 10, 10, fill="#3182ce")
+    canvas.text(tokens_x0 + 14, height - 25, "prefill", size=9)
+    canvas.rect(tokens_x0 + 70, height - 34, 10, 10, fill="#d69e2e")
+    canvas.text(tokens_x0 + 84, height - 25, "decode", size=9)
 
-    cf_scale = _bar_panel_log(
-        canvas, panels[1][0], y0, panels[1][1], y1, labels,
-        [("cf", [float(r["cf_bytes"]) for r in rows])],
-        ["#805ad5"],
-        "footprint per request (B=1 weights + KV)", "bytes",
-    )
-    cap_y = cf_scale(hw.mem_capacity) if cf_scale.lo <= hw.mem_capacity <= cf_scale.hi else None
-    if cap_y is not None:
-        canvas.line(panels[1][0], cap_y, panels[1][1], cap_y, stroke="#666", width=1.5, dash="5,3")
-        canvas.text(panels[1][1] - 4, cap_y - 4, "one-device capacity", size=8, anchor="end", color="#666")
+    cf_x0, cf_x1 = 390, 650
+    cf_scale = _bar_panel_log(canvas, cf_x0, y0, cf_x1, y1, rows, ["cf_bytes"], ["#805ad5"],
+                              "footprint per request (B=1 weights + KV)", "bytes")
+    if cf_scale.lo <= hw.mem_capacity <= cf_scale.hi:
+        cap_y = cf_scale(hw.mem_capacity)
+        canvas.line(cf_x0, cap_y, cf_x1, cap_y, stroke="#666", width=1.5, dash="5,3")
+        canvas.text(cf_x1 - 4, cap_y - 4, "one-device capacity", size=8, anchor="end", color="#666")
 
-    _bar_panel_log(
-        canvas, panels[2][0], y0, panels[2][1], y1, labels,
-        [
-            ("prefill", [float(r["prefill_oi"]) for r in rows]),
-            ("decode", [float(r["decode_oi"]) for r in rows]),
-        ],
-        ["#3182ce", "#d69e2e"],
-        "operational intensity at final context", "FLOPs/byte",
-    )
+    _bar_panel_log(canvas, 710, y0, 950, y1, rows, ["prefill_oi", "decode_oi"],
+                   ["#3182ce", "#d69e2e"], "operational intensity at final context", "FLOPs/byte")
     return canvas.to_svg()

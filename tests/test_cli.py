@@ -210,11 +210,16 @@ class TestCommands:
         assert [p.name for p in tmp_path.iterdir()] == ["analyze.txt"]
         assert (tmp_path / "analyze.txt").is_symlink()
 
-    def test_agent_profile_draws_no_bar_for_zero_decode_tokens(self, tmp_path):
+    @pytest.mark.parametrize("phase, color", [("decode", "#d69e2e"), ("prefill", "#3182ce")],
+                             ids=["decode", "prefill"])
+    def test_agent_profile_draws_no_bar_for_zero_tokens(self, tmp_path, phase, color):
+        """A workload with no tokens of a phase loses exactly that phase's token
+        bar; its OI at the final context is still drawn."""
+        workload = {"type": "workload", "name": "silent", "turns": 3,
+                    "prefill_tokens_per_turn": 100, "decode_tokens_per_turn": 100}
+        workload[f"{phase}_tokens_per_turn"] = 0
         silent = tmp_path / "silent.json"
-        silent.write_text(json.dumps({"type": "workload", "name": "silent", "turns": 3,
-                                      "prefill_tokens_per_turn": 100,
-                                      "decode_tokens_per_turn": 0}))
+        silent.write_text(json.dumps(workload))
         svgs = []
         for run_index, other in enumerate((str(silent), "web-use")):
             out = tmp_path / f"out{run_index}"
@@ -222,9 +227,9 @@ class TestCommands:
                         "--workload", "chatbot", "--workload", other, "--format", "svg",
                         "--out", str(out)]) == 0
             svgs.append((out / "agent-profile.svg").read_text())
-        decode_bar = 'fill="#d69e2e"/>'
+        bar = f'fill="{color}"/>'
         assert svgs[0].count("<rect") == svgs[1].count("<rect") - 1
-        assert svgs[0].count(decode_bar) == svgs[1].count(decode_bar) - 1
+        assert svgs[0].count(bar) == svgs[1].count(bar) - 1
 
 
 class TestOutCheckedBeforeAnalysis:

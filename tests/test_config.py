@@ -21,8 +21,9 @@ from oracles import random_model
 
 
 def write(tmp_path, name, data):
+    """data as a JSON file; a string is written as the raw text of one."""
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return path
 
 
@@ -209,12 +210,28 @@ def test_cli_error_names_the_file_once(tmp_path, capsys, monkeypatch):
     ("model", [MINIMAL_MODEL], "top level must be a JSON object"),
     ("hardware", dict(HARDWARE, peak_flops={"abc": 1e15}),
      "peak_flops key 'abc' is not an integer bit width"),
+    ("hardware", dict(HARDWARE, peak_flops={"16": 2e15, "016": 1e9}),
+     "peak_flops key '016' is not an integer bit width"),
+    ("hardware", dict(HARDWARE, peak_flops={" 16": 1e15}),
+     "peak_flops key ' 16' is not an integer bit width"),
     ("model", dict(MINIMAL_MODEL, attention=[1]), "key 'attention' must be an object, got list"),
     ("model", dict(MINIMAL_MODEL, moe=5), "key 'moe' must be an object, got int"),
     ("hardware", dict(HARDWARE, mem_bandwidth=int("9" * 400)),
      "key 'mem_bandwidth' must be a finite number, got an integer beyond float range"),
     ("model", dict(MINIMAL_MODEL, d_model=66),
      "head_dim omitted but d_model is not divisible by num_heads (66 / 4)"),
+    # A repeated key, at any depth, which json.loads would overwrite with its last value.
+    ("model", json.dumps(MINIMAL_MODEL)[:-1] + ', "num_layers": 3}',
+     "invalid JSON: repeated key 'num_layers'"),
+    ("model", json.dumps(MINIMAL_MODEL)[:-1]
+     + ', "attention": {"kind": "gqa", "num_kv_heads": 2, "num_kv_heads": 4}}',
+     "invalid JSON: repeated key 'num_kv_heads'"),
+    ("model", json.dumps(MINIMAL_MODEL)[:-1]
+     + ', "moe": {"num_experts": 4, "top_k": 2, "d_ff_expert": 32, "top_k": 1}}',
+     "invalid JSON: repeated key 'top_k'"),
+    ("hardware", '{"type": "hardware", "name": "h", "peak_flops": {"16": 1e15, "16": 2e15}, '
+                 '"mem_bandwidth": 1e12, "mem_capacity": 1e11}',
+     "invalid JSON: repeated key '16'"),
 ])
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, kind, data,
                                                      message):

@@ -4,7 +4,9 @@ writes must match `tests/golden/<scenario>/` byte for byte.
 The scenarios cover CLI paths the benchmark digests do not: decode-only
 analysis with both accounting flags, a prefill-only grid, a grid whose rows
 hold every bound class (bandwidth-bound among them), a workload sweep,
-a grid-driven roofline plot, and the three comparison/profile charts.
+a grid-driven roofline plot, and the three comparison/profile charts, the
+agent profile also on a device whose capacity lies below the footprint axis,
+so that its chart has no capacity line.
 
 To re-record after an intended output change:
 
@@ -52,6 +54,10 @@ SCENARIOS = {
     "agent-profile-two": [
         "agent-profile", "--model", "dense-70b", "--hardware", "b200-node8",
         "--workload", "coding-agent", "--workload", "chatbot",
+    ],
+    "agent-profile-unit-device": [
+        "agent-profile", "--model", "dense-70b", "--hardware", "unit-device",
+        "--workload", "chatbot", "--workload", "web-use",
     ],
 }
 

@@ -20,7 +20,7 @@ def test_schema_doc_column_block_is_the_sweep_row_fields():
 def test_golden_sweep_csv_headers_are_the_sweep_row_fields():
     paths = sorted(path for command in SWEEP_COMMANDS
                    for path in (ROOT / "tests" / "golden").glob(f"*/{command}.csv"))
-    assert len(paths) == 5
+    assert len(paths) == 6
     for path in paths:
         header = path.read_text(encoding="utf-8").split("\n", 1)[0]
         assert tuple(header.split(",")) == SweepRow._fields, path

@@ -3,7 +3,9 @@ writes must match `tests/golden/<scenario>/` byte for byte.
 
 The scenarios cover CLI paths the benchmark digests do not: decode-only
 analysis with both accounting flags, a prefill-only grid, a grid whose rows
-hold every bound class (bandwidth-bound among them), a workload sweep,
+hold every bound class (bandwidth-bound among them), the same grid with both
+accounting flags (prefill rows with activations, and replicated rows that no
+aggregation fits, min_devices 0), a workload sweep,
 a grid-driven roofline plot, and the three comparison/profile charts, the
 agent profile also on a device whose capacity lies below the footprint axis,
 so that its chart has no capacity line.
@@ -35,6 +37,10 @@ SCENARIOS = {
     "sweep-grid-every-class": [
         "sweep", "--model", "mla-48x2048", "--hardware", "b200-sxm",
         "--grid", "B=1,16,256,L=16,1k,64k,16m",
+    ],
+    "sweep-grid-every-class-flags": [
+        "sweep", "--model", "mla-48x2048", "--hardware", "b200-sxm",
+        "--grid", "B=1,16,256,L=16,1k,64k,16m", "--include-activations", "--replicate-weights",
     ],
     "sweep-chatbot": [
         "sweep", "--model", "dense-70b", "--hardware", "b200-node8", "--workload", "chatbot",

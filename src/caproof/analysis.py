@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, PhaseMetrics, _metrics
@@ -33,6 +33,7 @@ class BoundClass(enum.Enum):
     BANDWIDTH_BOUND = "bandwidth_bound"
     CAPACITY_LIMITED = "capacity_limited"
     CAPACITY_EXCEEDED = "capacity_exceeded"
+    __hash__ = object.__hash__  # members are singletons: hashed in C, by identity
 
 
 class PhaseAnalysis(NamedTuple):
@@ -71,12 +72,8 @@ def _device_count(weights: int, kv_bits: int, cap: int, batch_size: int,
     return -(-(weights + batch_size * kv_bits) // cap)
 
 
-def max_feasible_batch(
-    spec: ModelSpec,
-    hw: HardwareSpec,
-    context_len: int,
-    replicate_weights: bool = False,
-) -> int:
+def max_feasible_batch(spec: ModelSpec, hw: HardwareSpec, context_len: int,
+                       replicate_weights: bool = False) -> int:
     """Largest batch whose weights + KV fit the aggregation; 0 if even the
     weights do not fit."""
     _bound("context_len", context_len, ">= 1")
@@ -85,12 +82,8 @@ def max_feasible_batch(
                            _device_capacity_bits(hw), hw.num_devices, replicate_weights)
 
 
-def min_devices(
-    spec: ModelSpec,
-    hw: HardwareSpec,
-    point: OperatingPoint,
-    replicate_weights: bool = False,
-) -> int:
+def min_devices(spec: ModelSpec, hw: HardwareSpec, point: OperatingPoint,
+                replicate_weights: bool = False) -> int:
     """Smallest device count that fits the point's batch; 0 flags a point no
     aggregation can fit (only possible with replicated weights)."""
     costs = spec.costs
@@ -98,51 +91,69 @@ def min_devices(
                          _device_capacity_bits(hw), point.batch_size, replicate_weights)
 
 
-def _verdict(metrics: tuple, column: tuple, ridge: float, compute_rate: float,
-             bandwidth: float, num_devices: int) -> tuple:
-    """README rules 1-4 at one point: its (bound_class, rate, mfu, mbu), given
-    its (oi, cf, flops_per_token, bytes_per_token), the verdict of its
-    (phase, L) column, (bound_class, rate, mfu, mbu), and the compute-bound
-    tokens/s, peak / flops_per_token * num_devices."""
-    bound = column[0]
-    if bound is BoundClass.CAPACITY_EXCEEDED:  # no attainable rate, mfu or mbu
-        return column
-    oi = metrics[0]
-    if oi >= ridge:
-        return BoundClass.COMPUTE_BOUND, compute_rate, 1.0, ridge / oi
-    if bound is BoundClass.CAPACITY_LIMITED:  # the best reachable rate, mfu and mbu
-        return column
-    return BoundClass.BANDWIDTH_BOUND, oi * bandwidth / metrics[2] * num_devices, oi / ridge, 1.0
+def _column(spec: ModelSpec, hw: HardwareSpec, length: int, flops: float, verdict: tuple,
+            replicate_weights: bool) -> tuple:
+    """A (phase, L) column's constants, in the order _block unpacks them."""
+    costs, kv_bits, cap_dev = spec.costs, spec.costs.kv_bits * length, _device_capacity_bits(hw)
+    return (length, costs.kv_bits / 8 * length, kv_bits, flops,
+            hw.peak_for(spec.weight_bits) / flops * hw.num_devices, verdict,
+            _feasible_batch(costs.weight_bits, kv_bits, cap_dev, hw.num_devices, replicate_weights),
+            _b_max(costs.weight_bits, kv_bits, cap_dev))
+
+
+def _block(row: Callable[..., tuple], spec: ModelSpec, hw: HardwareSpec, ridge: float,
+           phase: Phase, batch: int, columns: Sequence[tuple], include_activations: bool,
+           replicate_weights: bool) -> List[tuple]:
+    """row(*SweepRow's fields) at batch B in each _column, with no other call a row:
+    _metrics's formula, README rules 1-4 (their one statement) and _device_count, inline.
+    A column's verdict, (bound_class, rate, mfu, mbu), is taken at B_max(L) (_point) or
+    the grid's least batch (iter_grid); OI never falls as B grows."""
+    costs, exceeded, limited = spec.costs, BoundClass.CAPACITY_EXCEEDED, BoundClass.CAPACITY_LIMITED
+    w8, kv, act, bandwidth, num_devices = (costs.weight_bits / 8, costs.kv_bits / 8,
+                                           costs.act_bytes, hw.mem_bandwidth, hw.num_devices)
+    per_batch, cap_dev, prefill, rows = (w8 / batch, _device_capacity_bits(hw),
+                                         phase is Phase.PREFILL, [])
+    for length, kv_length, kv_bits, flops, compute_rate, verdict, feasible, per_device in columns:
+        nbytes = w8 / (batch * length) + kv if prefill else per_batch + kv_length + kv
+        if include_activations:
+            nbytes += act
+        oi = flops / nbytes
+        if verdict[0] is exceeded:  # no attainable rate, mfu or mbu
+            bound, rate, mfu, mbu = verdict
+        elif oi >= ridge:
+            bound, rate, mfu, mbu = BoundClass.COMPUTE_BOUND, compute_rate, 1.0, ridge / oi
+        elif verdict[0] is limited:  # the best reachable rate, mfu and mbu
+            bound, rate, mfu, mbu = verdict
+        else:
+            bound, rate, mfu, mbu = (BoundClass.BANDWIDTH_BOUND,
+                                     oi * bandwidth / flops * num_devices, oi / ridge, 1.0)
+        devices = ((-(-batch // per_device) if per_device >= 1 else 0) if replicate_weights
+                   else -(-(costs.weight_bits + batch * kv_bits) // cap_dev))
+        rows.append(row("point", "", None, phase, batch, length, oi, kv_length + per_batch, flops,
+                        nbytes, bound, rate, mfu, mbu, feasible, devices, None, None))
+    return rows
 
 
 def _point(spec: ModelSpec, hw: HardwareSpec, ridge: float, phase: Phase, length: int,
            batch: int, include_activations: bool, replicate_weights: bool) -> tuple:
-    """SweepRow's fields oi ... min_devices at one point, which classify wraps. ridge is
+    """SweepRow's fields oi ... min_devices at one point, which classify wraps: _block on
+    one column, its verdict taken at B_max(L) with _metrics. ridge is
     ridge_point(hw, spec.weight_bits), read once by the caller; nothing is validated here."""
     costs = spec.costs
     flops = float(costs.token_flops(phase, length))
-    metrics = _metrics(costs, phase, length, batch, include_activations, flops)
-    weights, kv_bits = costs.weight_bits, costs.kv_bits * length
-    cap_dev = _device_capacity_bits(hw)
-    if (best := _b_max(weights, kv_bits, cap_dev)) < 1:
-        column = (BoundClass.CAPACITY_EXCEEDED, 0.0, 0.0, 0.0)
+    if (best := _b_max(costs.weight_bits, costs.kv_bits * length, _device_capacity_bits(hw))) < 1:
+        verdict = (BoundClass.CAPACITY_EXCEEDED, 0.0, 0.0, 0.0)
     else:
         best_oi = _metrics(costs, phase, length, best, include_activations, flops)[0]
-        column = (BoundClass.BANDWIDTH_BOUND if best_oi >= ridge else BoundClass.CAPACITY_LIMITED,
-                  best_oi * hw.mem_bandwidth / flops * hw.num_devices, best_oi / ridge, 1.0)
-    compute_rate = hw.peak_for(spec.weight_bits) / flops * hw.num_devices
-    return (*metrics, *_verdict(metrics, column, ridge, compute_rate, hw.mem_bandwidth, hw.num_devices),
-            _feasible_batch(weights, kv_bits, cap_dev, hw.num_devices, replicate_weights),
-            _device_count(weights, kv_bits, cap_dev, batch, replicate_weights))
+        verdict = (BoundClass.BANDWIDTH_BOUND if best_oi >= ridge else BoundClass.CAPACITY_LIMITED,
+                   best_oi * hw.mem_bandwidth / flops * hw.num_devices, best_oi / ridge, 1.0)
+    return _block(lambda *fields: fields[6:16], spec, hw, ridge, phase, batch,
+                  [_column(spec, hw, length, flops, verdict, replicate_weights)],
+                  include_activations, replicate_weights)[0]
 
 
-def classify(
-    spec: ModelSpec,
-    hw: HardwareSpec,
-    point: OperatingPoint,
-    include_activations: bool = False,
-    replicate_weights: bool = False,
-) -> PhaseAnalysis:
+def classify(spec: ModelSpec, hw: HardwareSpec, point: OperatingPoint,
+             include_activations: bool = False, replicate_weights: bool = False) -> PhaseAnalysis:
     """Place one operating point in the capacity-extended roofline.
 
     Rules, in order:
@@ -203,34 +214,25 @@ def iter_grid(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],
     classify runs once per (phase, L) column, at the smallest batch: whether
     one request fits and whether some per-device-feasible batch reaches the
     ridge depend on L alone, and OI never falls as the batch grows (weight
-    bytes per token are W/B + c). So each row is judged by _verdict against
-    its column head's verdict, from _metrics's four floats.
+    bytes per token are W/B + c). _block holds the rows' arithmetic: each
+    block is made by its one loop, from the column heads' verdicts. Its rows
+    are pinned, bit for bit, to classify and so to metrics._metrics.
     """
     if not batch_sizes or not context_lens:
         raise ValueError("sweep grid must be non-empty")
     wanted = set(phases)
     batches, lengths = sorted(set(batch_sizes)), sorted(set(context_lens))
-    costs = spec.costs
     ridge = ridge_point(hw, spec.weight_bits)
-    peak, bandwidth, num_devices = hw.peak_for(spec.weight_bits), hw.mem_bandwidth, hw.num_devices
-    weights, cap_dev = costs.weight_bits, _device_capacity_bits(hw)
-    for phase in (Phase.PREFILL, Phase.DECODE):
-        if phase not in wanted:
-            continue
+    for phase in (phase for phase in Phase if phase in wanted):
         columns = []
         for length in lengths:
             head = classify(spec, hw, OperatingPoint(length, batches[0], phase),
                             include_activations, replicate_weights)
-            flops = head.metrics.flops_per_token
-            columns.append((length, costs.kv_bits * length, flops, peak / flops * num_devices,
-                            head[1:5], head.max_feasible_batch))
+            columns.append(_column(spec, hw, length, head.metrics.flops_per_token, head[1:5],
+                                   replicate_weights))
         for batch in batches:
-            yield [SweepRow(
-                "point", "", None, phase, batch, length,
-                *(metrics := _metrics(costs, phase, length, batch, include_activations, flops)),
-                *_verdict(metrics, column, ridge, compute_rate, bandwidth, num_devices),
-                feasible, _device_count(weights, kv_bits, cap_dev, batch, replicate_weights),
-                None, None) for length, kv_bits, flops, compute_rate, column, feasible in columns]
+            yield _block(SweepRow, spec, hw, ridge, phase, batch, columns, include_activations,
+                         replicate_weights)
 
 
 def sweep_grid(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],

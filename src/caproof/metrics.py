@@ -54,12 +54,12 @@ def oi_matmul_bytes(m: int, d: int, length: int, element_bits: int) -> float:
 def _metrics(costs: ModelCosts, phase: Phase, length: int, batch: int,
              include_activations: bool,
              flops: Optional[float] = None) -> Tuple[float, float, float, float]:
-    """(oi, cf, flops_per_token, bytes_per_token) at context length L and
-    batch B, from the spec's costs. The one formula behind cf_request, the
-    three *_metrics functions, analysis._point and iter_grid (a point and its
-    largest per-device batch) and analysis.grid_bounds (a grid's batch ends);
-    nothing is validated here. flops is float(costs.token_flops(phase, L)); a caller
-    that evaluates one L at many batches passes it, read once per L."""
+    """(oi, cf, flops_per_token, bytes_per_token) at context length L and batch B,
+    from the spec's costs: the scalar reference behind cf_request, the *_metrics
+    functions, analysis._point (at B_max) and analysis.grid_bounds. analysis._block
+    restates it inline for grid rows and classify's point, pinned to it bit for bit
+    by the tests; nothing is validated here. flops is float(costs.token_flops(phase, L)),
+    passed by a caller that reads it once per L."""
     if flops is None:
         flops = float(costs.token_flops(phase, length))
     kv = costs.kv_bits / 8

@@ -37,6 +37,7 @@ def _bound(name: str, value, rule: str) -> None:
 class Phase(enum.Enum):
     PREFILL = "prefill"
     DECODE = "decode"
+    __hash__ = object.__hash__  # members are singletons: hashed in C, by identity
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,14 @@ class Report:
 
 def stream(renderers: Sequence[Renderer], blocks: Iterable[Sequence[SweepRow]]) -> None:
     """Write artifacts in one pass over blocks of rows. A renderer writes its
-    head when started, each block's lines when sent it, and its tail at None."""
+    head when started, each block's lines as one list when sent it, and its
+    tail at None. No block is kept once written, so two are never held."""
     for renderer in renderers:
         next(renderer)
     for rows in blocks:
         for renderer in renderers:
             renderer.send(rows)
+        del rows
     for renderer in renderers:
         next(renderer, None)
 
@@ -123,7 +125,7 @@ def stream_sweep_csv(out: TextIO) -> Renderer:
     bandwidth = BoundClass.BANDWIDTH_BOUND
     out.write(",".join(CSV_COLUMNS) + "\n")
     while (rows := (yield)) is not None:
-        out.writelines(
+        out.writelines([
             f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
             f"{phases[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"
             f"{nbytes!r},{bounds[bound]},"
@@ -134,7 +136,8 @@ def stream_sweep_csv(out: TextIO) -> Renderer:
             f"{'' if decode_total is None else decode_total}\n"
             for (kind, workload, turn, phase, batch, length, oi, cf, flops, nbytes, bound, rate,
                  mfu, mbu, feasible, devices, prefill_total, decode_total) in rows
-        )
+        ])
+        del rows
 
 
 def sweep_csv(result: SweepResult) -> str:
@@ -157,14 +160,15 @@ def stream_sweep_text(model: str, hardware: str, out: TextIO) -> Renderer:
     lengths, rates, ratios = Cells(format, ">9"), Cells(format, ">12.6g"), Cells(format, ">8.3g")
     bandwidth = BoundClass.BANDWIDTH_BOUND
     while (rows := (yield)) is not None:
-        out.writelines(
+        out.writelines([
             f"{kind:<15}{phases[phase]}{batch:>6}{lengths[length]}{oi:>12.6g}{cf:>12.6g}"
             f"  {bounds[bound]}"
             f"{f'{rate:>12.6g}{mfu:>8.3g}' if bound is bandwidth else rates[rate] + ratios[mfu]}"
             f"{mbu:>8.3g}\n"
             for (kind, _, _, phase, batch, length, oi, cf, _, _, bound, rate, mfu, mbu,
                  _, _, _, _) in rows
-        )
+        ])
+        del rows
 
 
 def sweep_text(result: SweepResult, out: TextIO) -> None:
@@ -203,15 +207,18 @@ def stream_roofline_svg(model: ModelSpec, hw: HardwareSpec, oi_range: Tuple[floa
     canvas.circle(xs(ridge), ys(peak), 4, fill="#222")
     canvas.text(xs(ridge), ys(peak) - 8, f"ridge {fmt(ridge)}", size=10, anchor="middle")
 
-    # Each point sits on the roofline: attainable_flops with peak and
-    # bandwidth read once, outside the per-row loop. One f-string per point
-    # writes what canvas.circle(x, y, 4, fill=color, stroke="#333") would.
+    # Each point sits on the roofline, at min(peak, oi * bandwidth), the roof's y
+    # formatted once. One f-string per point writes what canvas.circle(x, y, 4,
+    # fill=color, stroke="#333") would.
+    roof = f"{ys(peak):.6g}"
     while (rows := (yield)) is not None:
-        out.writelines(
-            f'<circle cx="{xs(oi):.6g}" cy="{ys(min(peak, oi * bandwidth)):.6g}" r="4" '
+        out.writelines([
+            f'<circle cx="{xs(oi):.6g}" '
+            f'cy="{f"{ys(arm):.6g}" if (arm := oi * bandwidth) < peak else roof}" r="4" '
             f'fill="{CLASS_COLORS[bound]}" stroke="#333"/>\n'
             for (_, _, _, _, _, _, oi, _, _, _, bound, _, _, _, _, _, _, _) in rows
-        )
+        ])
+        del rows
 
     legend_x, legend_y = x1 + 12, y0 + 10
     for i, bound in enumerate(BoundClass):

@@ -6,7 +6,9 @@ built from classify and the token totals with hand-kept column lists."""
 import enum
 import io
 import itertools
+import math
 import random
+import re
 
 import pytest
 
@@ -17,6 +19,7 @@ from caproof.hardware import HardwareSpec
 from caproof.metrics import OperatingPoint
 from caproof.model import Phase, kv_bytes_per_token, weight_bytes
 from caproof.reports import CSV_COLUMNS, stream, stream_sweep_csv, sweep_csv, write_csv
+from caproof.svg import LogScale
 from caproof.workload import WorkloadSpec, expand, total_tokens
 from oracles import random_model
 
@@ -160,6 +163,62 @@ class TestBoundedWrites:
             assert text.startswith("<svg ") and text.endswith("</svg>\n")
             assert text.count("<circle") == len(result.rows) + 1 + 4  # ridge and legend
 
+
+
+def roof_tie():
+    """(peak, bandwidth, ois): a peak and a bandwidth whose ridge, peak / bandwidth,
+    times the bandwidth falls under the peak in binary64, and OIs from the ridge up
+    whose products with the bandwidth are one ulp under the peak, the peak exactly
+    and one ulp over it. The peak is a power of two, so the ulp under it is half the
+    ulp over it; this is what lets both happen at once."""
+    peak = 2.0**51
+    for bandwidth in (3e12 + 1e9 * k for k in range(1, 50)):
+        ridge = peak / bandwidth
+        ois = [ridge, math.nextafter(ridge, math.inf)]
+        ois.append(math.nextafter(ois[1], math.inf))
+        if [oi * bandwidth for oi in ois] == [math.nextafter(peak, 0), peak,
+                                              math.nextafter(peak, math.inf)]:
+            return peak, bandwidth, ois
+    raise AssertionError("no bandwidth gives the tie")
+
+
+class TestRooflineRoofTie:
+    """Each point's cy is ys(min(peak, oi * bandwidth)): the roof's y, formatted
+    once, is reused exactly where min picks the peak, whatever the row's class."""
+
+    @pytest.mark.parametrize("axis", ["log", "ulps"])
+    def test_cy_follows_min_not_the_class(self, axis, monkeypatch):
+        peak, bandwidth, ois = roof_tie()
+        model = resolve_config("dense-70b", "model")
+        hw = HardwareSpec(name="tie", peak_flops={model.weight_bits: peak},
+                          mem_bandwidth=bandwidth, mem_capacity=1e12)
+        ridge = peak / bandwidth
+        assert ridge * bandwidth < peak and ois[0] == ridge  # compute-bound, under the roof
+        ois = [math.nextafter(ridge, 0), *ois]  # a bandwidth-bound row under the ridge
+        scales = []
+
+        class Recorded(LogScale):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scales.append(self)
+
+            if axis == "ulps":  # ulps from the peak, so a y one ulp off shows in 6 digits
+                def __call__(self, value):
+                    return (value - peak) / math.ulp(peak)
+
+        monkeypatch.setattr(reports, "LogScale", Recorded)
+        base = sweep_grid(model, hw, [1], [1000]).rows[0]
+        rows = [base._replace(oi=oi, bound_class=BoundClass.COMPUTE_BOUND if oi >= ridge
+                              else BoundClass.BANDWIDTH_BOUND) for oi in ois]
+        svg = streamed(lambda out: stream([reports.stream_roofline_svg(
+            model, hw, (min(ois), max(ois)), out)], [rows]))
+        ys = scales[1]  # the roofline's axes: x first, then y
+        points = re.findall(r'<circle cx="[^"]+" cy="([^"]+)" r="4" fill="[^"]+" stroke="#333"/>',
+                            svg)
+        expected = [format(ys(min(peak, oi * bandwidth)), ".6g") for oi in ois]
+        assert points == expected
+        if axis == "ulps":
+            assert expected == ["-1", "-0.5", "0", "0"]
 
 
 AGENT_PROFILE_COLUMNS = [

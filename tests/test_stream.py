@@ -5,12 +5,13 @@ rows, not the sweep."""
 
 import io
 import itertools
+import sys
 import tracemalloc
 
 import pytest
 
 from caproof import cli, reports
-from caproof.analysis import BoundClass, sweep_grid
+from caproof.analysis import BoundClass, iter_grid, sweep_grid
 from caproof.config import resolve_config
 from caproof.model import Phase
 
@@ -164,3 +165,40 @@ def test_a_20k_turn_workload_sweep_stays_bounded(tmp_path):
                         "--workload", str(workload), "--out", str(out)])
     assert (out / "sweep.csv").read_text().count("\n") == 40_003
     assert peak < 32_000_000, peak
+
+
+def python_calls(work) -> int:
+    """The Python frames entered or resumed while work() runs, a generator's
+    resumption included; calls into C are not counted."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_grid_is_made_and_rendered_with_no_python_call_per_row():
+    """Making a grid's rows takes one Python call a row, SweepRow's __new__,
+    and a bounded number per (phase, batch) block and per (phase, L) column;
+    the CSV and text renderers take a bounded number per block and column and
+    none per row. 1,024 rows in 64 blocks and 32 columns."""
+    model = resolve_config("mla-48x2048", "model")
+    hw = resolve_config("b200-sxm", "hardware")
+    lengths = [16 * 3**i for i in range(16)]
+    blocks = []
+    made = python_calls(lambda: blocks.extend(iter_grid(model, hw, range(1, 33), lengths)))
+    rows, columns = sum(map(len, blocks)), 2 * len(lengths)
+    assert (rows, len(blocks)) == (1024, 64)
+    assert len({row.bound_class for block in blocks for row in block}) == 4
+    assert made <= rows + 4 * len(blocks) + 40 * columns, made
+    for renderer in (reports.stream_sweep_csv,
+                     lambda out: reports.stream_sweep_text(model.name, hw.name, out)):
+        rendered = python_calls(lambda: reports.stream([renderer(io.StringIO())], blocks))
+        assert rendered <= 2 * len(blocks) + 6 * columns + 20, rendered

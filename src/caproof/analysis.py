@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .hardware import HardwareSpec, ridge_point
 from .metrics import OperatingPoint, PhaseMetrics, _metrics
@@ -92,28 +92,31 @@ def min_devices(spec: ModelSpec, hw: HardwareSpec, point: OperatingPoint,
 
 
 def _column(spec: ModelSpec, hw: HardwareSpec, length: int, flops: float, verdict: tuple,
-            replicate_weights: bool) -> tuple:
-    """A (phase, L) column's constants, in the order _block unpacks them."""
+            replicate_weights: bool, head: tuple = ("point", "", None),
+            totals: tuple = (None, None)) -> tuple:
+    """A (phase, L) column's constants, in the order _block unpacks them, between its
+    rows' head (row_kind, workload, turn_index) and their token totals."""
     costs, kv_bits, cap_dev = spec.costs, spec.costs.kv_bits * length, _device_capacity_bits(hw)
-    return (length, costs.kv_bits / 8 * length, kv_bits, flops,
+    return (*head, length, costs.kv_bits / 8 * length, kv_bits, flops,
             hw.peak_for(spec.weight_bits) / flops * hw.num_devices, verdict,
             _feasible_batch(costs.weight_bits, kv_bits, cap_dev, hw.num_devices, replicate_weights),
-            _b_max(costs.weight_bits, kv_bits, cap_dev))
+            _b_max(costs.weight_bits, kv_bits, cap_dev), *totals)
 
 
-def _block(row: Callable[..., tuple], spec: ModelSpec, hw: HardwareSpec, ridge: float,
-           phase: Phase, batch: int, columns: Sequence[tuple], include_activations: bool,
-           replicate_weights: bool) -> List[tuple]:
-    """row(*SweepRow's fields) at batch B in each _column, with no other call a row:
-    _metrics's formula, README rules 1-4 (their one statement) and _device_count, inline.
-    A column's verdict, (bound_class, rate, mfu, mbu), is taken at B_max(L) (_point) or
-    the grid's least batch (iter_grid); OI never falls as B grows."""
+def _block(spec: ModelSpec, hw: HardwareSpec, ridge: float, phase: Phase, batch: int,
+           columns: Sequence[tuple], include_activations: bool,
+           replicate_weights: bool) -> List[SweepRow]:
+    """The SweepRow at batch B in each _column, the only place one is made, with no other
+    call a row: _metrics's formula, README rules 1-4 (their one statement) and
+    _device_count, inline. A column's verdict, (bound_class, rate, mfu, mbu), is taken at
+    B_max(L) (_point) or the grid's least batch (iter_grid); OI never falls as B grows."""
     costs, exceeded, limited = spec.costs, BoundClass.CAPACITY_EXCEEDED, BoundClass.CAPACITY_LIMITED
     w8, kv, act, bandwidth, num_devices = (costs.weight_bits / 8, costs.kv_bits / 8,
                                            costs.act_bytes, hw.mem_bandwidth, hw.num_devices)
     per_batch, cap_dev, prefill, rows = (w8 / batch, _device_capacity_bits(hw),
                                          phase is Phase.PREFILL, [])
-    for length, kv_length, kv_bits, flops, compute_rate, verdict, feasible, per_device in columns:
+    for (kind, workload, turn, length, kv_length, kv_bits, flops, compute_rate, verdict, feasible,
+         per_device, prefill_total, decode_total) in columns:
         nbytes = w8 / (batch * length) + kv if prefill else per_batch + kv_length + kv
         if include_activations:
             nbytes += act
@@ -129,16 +132,17 @@ def _block(row: Callable[..., tuple], spec: ModelSpec, hw: HardwareSpec, ridge: 
                                      oi * bandwidth / flops * num_devices, oi / ridge, 1.0)
         devices = ((-(-batch // per_device) if per_device >= 1 else 0) if replicate_weights
                    else -(-(costs.weight_bits + batch * kv_bits) // cap_dev))
-        rows.append(row("point", "", None, phase, batch, length, oi, kv_length + per_batch, flops,
-                        nbytes, bound, rate, mfu, mbu, feasible, devices, None, None))
+        rows.append(SweepRow(kind, workload, turn, phase, batch, length, oi, kv_length + per_batch,
+                             flops, nbytes, bound, rate, mfu, mbu, feasible, devices,
+                             prefill_total, decode_total))
     return rows
 
 
 def _point(spec: ModelSpec, hw: HardwareSpec, ridge: float, phase: Phase, length: int,
-           batch: int, include_activations: bool, replicate_weights: bool) -> tuple:
-    """SweepRow's fields oi ... min_devices at one point, which classify wraps: _block on
-    one column, its verdict taken at B_max(L) with _metrics. ridge is
-    ridge_point(hw, spec.weight_bits), read once by the caller; nothing is validated here."""
+           include_activations: bool, replicate_weights: bool, *head_and_totals: tuple) -> tuple:
+    """The _column of (phase, L), its verdict taken at B_max(L) with _metrics: one per
+    classify call and per workload row. ridge is ridge_point(hw, spec.weight_bits), read
+    once by the caller; nothing is validated here."""
     costs = spec.costs
     flops = float(costs.token_flops(phase, length))
     if (best := _b_max(costs.weight_bits, costs.kv_bits * length, _device_capacity_bits(hw))) < 1:
@@ -147,9 +151,7 @@ def _point(spec: ModelSpec, hw: HardwareSpec, ridge: float, phase: Phase, length
         best_oi = _metrics(costs, phase, length, best, include_activations, flops)[0]
         verdict = (BoundClass.BANDWIDTH_BOUND if best_oi >= ridge else BoundClass.CAPACITY_LIMITED,
                    best_oi * hw.mem_bandwidth / flops * hw.num_devices, best_oi / ridge, 1.0)
-    return _block(lambda *fields: fields[6:16], spec, hw, ridge, phase, batch,
-                  [_column(spec, hw, length, flops, verdict, replicate_weights)],
-                  include_activations, replicate_weights)[0]
+    return _column(spec, hw, length, flops, verdict, replicate_weights, *head_and_totals)
 
 
 def classify(spec: ModelSpec, hw: HardwareSpec, point: OperatingPoint,
@@ -166,11 +168,12 @@ def classify(spec: ModelSpec, hw: HardwareSpec, point: OperatingPoint,
 
     OI is monotone non-decreasing in batch size (weight amortization), so
     ridge reachability is decided at that largest feasible batch, whose OI
-    comes from the same formula as the point's. _point computes the fields.
+    comes from the same formula as the point's. _block makes the point's row.
     """
-    fields = _point(spec, hw, ridge_point(hw, spec.weight_bits), point.phase,
-                    point.context_len, point.batch_size, include_activations, replicate_weights)
-    return PhaseAnalysis(PhaseMetrics(*fields[:4]), *fields[4:])
+    ridge, flags = ridge_point(hw, spec.weight_bits), (include_activations, replicate_weights)
+    row = _block(spec, hw, ridge, point.phase, point.batch_size,
+                 [_point(spec, hw, ridge, point.phase, point.context_len, *flags)], *flags)[0]
+    return PhaseAnalysis(PhaseMetrics(*row[6:10]), *row[10:16])
 
 
 class SweepRow(NamedTuple):
@@ -231,7 +234,7 @@ def iter_grid(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],
             columns.append(_column(spec, hw, length, head.metrics.flops_per_token, head[1:5],
                                    replicate_weights))
         for batch in batches:
-            yield _block(SweepRow, spec, hw, ridge, phase, batch, columns, include_activations,
+            yield _block(spec, hw, ridge, phase, batch, columns, include_activations,
                          replicate_weights)
 
 
@@ -262,29 +265,26 @@ def grid_bounds(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],
 
 
 def _workload_rows(spec: ModelSpec, hw: HardwareSpec, workload: WorkloadSpec,
-                   turns: Iterable[int], *flags: bool) -> Iterator[SweepRow]:
-    """The point rows of the given turns, one per phase with tokens, then a workload_total
-    row per phase at the final context, from the trace's closed form and _point. The
-    zero-token check runs at the first row, then the ridge is read once."""
+                   turns: Sequence[int], *flags: bool) -> Iterator[List[SweepRow]]:
+    """The point rows of the given turns, a block per 1,024: a _block per phase with tokens,
+    interleaved by turn. Then a block of a workload_total row per phase at the final context.
+    Each column is _point's, from the trace's closed form; the ridge is read once."""
     prefill, decode = workload.prefill_tokens_per_turn, workload.decode_tokens_per_turn
     if (final := _context(workload, workload.turns - 1) + prefill + decode) < 1:
         raise ValueError(f"workload '{workload.name}' expands to zero tokens")
-    batch, ridge = workload.batch_size, ridge_point(hw, spec.weight_bits)
-
-    def row(kind: str, turn: Optional[int], phase: Phase, context_len: int,
-            totals: tuple = (None, None)) -> SweepRow:
-        return SweepRow(kind, workload.name, turn, phase, batch, context_len,
-                        *_point(spec, hw, ridge, phase, context_len, batch, *flags), *totals)
-
-    for turn in turns:
-        start = _context(workload, turn)
-        if prefill > 0:
-            yield row("point", turn, Phase.PREFILL, start + prefill)
-        if decode > 0:
-            yield row("point", turn, Phase.DECODE, start + prefill + decode)
-    for phase in Phase:
-        yield row("workload_total", None, phase, final, (workload.turns * prefill,
-                                                         workload.turns * decode))
+    batch, ridge, name = workload.batch_size, ridge_point(hw, spec.weight_bits), workload.name
+    ends = [(phase, end) for phase, tokens, end in zip(Phase, (prefill, decode),
+                                                       (prefill, prefill + decode)) if tokens]
+    for first in range(0, len(turns), 1_024):
+        chunk = list(turns[first:first + 1_024])  # one int a turn, which its rows share
+        blocks = [_block(spec, hw, ridge, phase, batch, [_point(
+            spec, hw, ridge, phase, _context(workload, turn) + end, *flags, ("point", name, turn))
+            for turn in chunk], *flags) for phase, end in ends]
+        yield [row for rows in zip(*blocks) for row in rows]
+    totals = (workload.turns * prefill, workload.turns * decode)
+    yield [row for phase in Phase for row in _block(spec, hw, ridge, phase, batch, [
+        _point(spec, hw, ridge, phase, final, *flags, ("workload_total", name, None), totals)],
+        *flags)]
 
 
 def sweep_workload(spec: ModelSpec, hw: HardwareSpec, workload: WorkloadSpec,
@@ -292,5 +292,6 @@ def sweep_workload(spec: ModelSpec, hw: HardwareSpec, workload: WorkloadSpec,
                    replicate_weights: bool = False) -> SweepResult:
     """Per-turn prefill/decode points for an agent workload, plus one
     aggregate row per phase at the final context with the token totals."""
-    return SweepResult(model=spec.name, hardware=hw.name, rows=tuple(_workload_rows(
-        spec, hw, workload, range(workload.turns), include_activations, replicate_weights)))
+    blocks = _workload_rows(spec, hw, workload, range(workload.turns), include_activations,
+                            replicate_weights)
+    return SweepResult(model=spec.name, hardware=hw.name, rows=tuple(chain.from_iterable(blocks)))

@@ -183,10 +183,10 @@ def _one_int(text: Optional[str], default: str, field: str) -> int:
 
 def _sweep_command(args) -> reports.Report:
     """One model on one hardware over a workload trace or a batch x context
-    grid: the report of analyze, sweep and roofline-plot. The flags the
-    command has pick the points: --workload, else sweep's --grid, else
-    --batch and --context. Every flag is checked, and the grid's rows
-    counted, before the configs are resolved."""
+    grid: the report of analyze, sweep and roofline-plot. The flags the command
+    has pick the points: --workload, else sweep's --grid, else --batch and
+    --context. Every flag is checked, and the grid's rows counted, before the
+    configs are resolved. A workload sweep is held; its totals rows give --strict."""
     workload_ref, grid = getattr(args, "workload", None), getattr(args, "grid", None)
     if workload_ref is not None:
         for flag in ("grid", "phase", "batch", "context"):  # errors even when set to their default
@@ -213,9 +213,9 @@ def _sweep_command(args) -> reports.Report:
     if workload_ref is not None:
         workload = resolve_config(workload_ref, "workload", args.allow_unknown_keys)
         rows = _flag(workload_ref, sweep_workload, model, hw, workload, *flags).rows
-        blocks, ois = (rows,), [row.oi for row in rows]
-        oi_lo, oi_hi = min(ois), max(ois)
-        exceeded = any(row.bound_class is BoundClass.CAPACITY_EXCEEDED for row in rows)
+        blocks = (rows,)  # held, as sweep_workload returns it; stream slices it
+        oi_lo, oi_hi = min(row.oi for row in rows), max(row.oi for row in rows)
+        exceeded = rows[-1].bound_class is BoundClass.CAPACITY_EXCEEDED
     else:  # made a block at a time as it is written
         blocks = iter_grid(model, hw, batches, contexts, phases, *flags)
         oi_lo, oi_hi, exceeded = grid_bounds(model, hw, batches, contexts, phases, flags[0])

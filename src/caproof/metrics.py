@@ -57,9 +57,9 @@ def _metrics(costs: ModelCosts, phase: Phase, length: int, batch: int,
     """(oi, cf, flops_per_token, bytes_per_token) at context length L and batch B,
     from the spec's costs: the scalar reference behind cf_request, the *_metrics
     functions, analysis._point (at B_max) and analysis.grid_bounds. analysis._block
-    restates it inline for grid rows and classify's point, pinned to it bit for bit
-    by the tests; nothing is validated here. flops is float(costs.token_flops(phase, L)),
-    passed by a caller that reads it once per L."""
+    restates it inline for every sweep row and classify's point, pinned to it bit for
+    bit by the tests; nothing is validated here. flops is float(costs.token_flops(phase,
+    L)), passed by a caller that reads it once per L."""
     if flops is None:
         flops = float(costs.token_flops(phase, length))
     kv = costs.kv_bits / 8

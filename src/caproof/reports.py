@@ -52,14 +52,16 @@ class Report:
 
 def stream(renderers: Sequence[Renderer], blocks: Iterable[Sequence[SweepRow]]) -> None:
     """Write artifacts in one pass over blocks of rows. A renderer writes its
-    head when started, each block's lines as one list when sent it, and its
-    tail at None. No block is kept once written, so two are never held."""
+    head when started, the lines of each slice of at most 2,048 rows it is sent
+    as one list, and its tail at None; an empty block sends nothing. No block
+    is kept once written, so two are never held."""
     for renderer in renderers:
         next(renderer)
-    for rows in blocks:
-        for renderer in renderers:
-            renderer.send(rows)
-        del rows
+    for block in blocks:
+        for first in range(0, len(block), 2_048):
+            for renderer in renderers:
+                renderer.send(block[first:first + 2_048])
+        del block
     for renderer in renderers:
         next(renderer, None)
 
@@ -379,8 +381,8 @@ def agent_profile_rows(model: ModelSpec, hw: HardwareSpec, workloads: Sequence[W
     without its per-turn rows."""
     rows: List[Dict[str, object]] = []
     for workload in workloads:
-        prefill, decode = _workload_rows(model, hw, workload, (), include_activations,
-                                         replicate_weights)
+        (prefill, decode), = _workload_rows(model, hw, workload, (), include_activations,
+                                            replicate_weights)
         rows.append(
             {
                 "workload": workload.name,

@@ -14,7 +14,7 @@ from typing import Tuple
 from .model import _bound
 
 # Rows one sweep may have. Held, they take about 570 MB as sweep_grid rows (283 B each) and
-# 690 MB as sweep_workload rows (344 B; 345 B at its peak), by tracemalloc. The CLI streams grids.
+# 710 MB as sweep_workload rows (355 B; 357 at its peak), by tracemalloc. The CLI streams grids.
 MAX_SWEEP_ROWS = 2_000_000
 MAX_TURNS = (MAX_SWEEP_ROWS - 2) // 2  # a prefill and a decode row a turn, two totals
 

@@ -621,9 +621,10 @@ class TestSweepGridColumns:
 
 
 class TestWorkloadPointPath:
-    """sweep_workload reads the ridge once and builds each row from classify's
-    point function: no OperatingPoint, PhaseMetrics or PhaseAnalysis, and no
-    classify call, yet every row equals classify at its point."""
+    """sweep_workload reads the ridge once and makes each row in classify's
+    block loop, from classify's own column function: no OperatingPoint,
+    PhaseMetrics or PhaseAnalysis, and no classify call, yet every row equals
+    classify at its point."""
 
     # kind -> (carry_context, prefill tokens a turn, decode tokens a turn), as randint ranges
     KINDS = {
@@ -697,6 +698,41 @@ class TestWorkloadPointPath:
         assert phases == {"no-carry": set(Phase), "no-prefill": {Phase.DECODE},
                           "no-decode": {Phase.PREFILL}}[kind]
 
+    @pytest.mark.parametrize("include_activations", [False, True])
+    @pytest.mark.parametrize("replicate_weights", [False, True])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_rows_equal_classify_across_a_block_boundary(self, kind, include_activations,
+                                                         replicate_weights):
+        """1,025 turns: the 1,025th is the first of the second 1,024-turn block."""
+        rng = random.Random(f"boundary-{kind}-{include_activations}-{replicate_weights}")
+        flags = (include_activations, replicate_weights)
+        carry, prefill, decode = self.KINDS[kind]
+        seen = set()
+        for _ in range(6):
+            spec = random_model(rng)
+            workload = WorkloadSpec("w", turns=1_025,
+                                    prefill_tokens_per_turn=rng.randint(*prefill),
+                                    decode_tokens_per_turn=rng.randint(*decode),
+                                    carry_context=carry, batch_size=rng.randint(1, 64))
+            phases = [phase for phase, tokens in zip(Phase, (workload.prefill_tokens_per_turn,
+                                                             workload.decode_tokens_per_turn))
+                      if tokens]
+            step = workload.prefill_tokens_per_turn + workload.decode_tokens_per_turn
+            last = OperatingPoint((1_024 if carry else 0) * step + step, workload.batch_size,
+                                  phases[-1])  # the second block's row
+            hw = boundary_hardware(rng, spec, last, include_activations)
+            blocks = list(analysis._workload_rows(spec, hw, workload, range(1_025), *flags))
+            assert list(map(len, blocks)) == [1_024 * len(phases), len(phases), 2]
+            rows = [row for block in blocks for row in block]
+            assert [(row.row_kind, row.turn_index, row.phase) for row in rows] == [
+                ("point", turn, phase) for turn in range(1_025) for phase in phases] + [
+                ("workload_total", None, phase) for phase in Phase]
+            for row in rows:
+                point = OperatingPoint(row.context_len, row.batch_size, row.phase)
+                assert row[6:16] == flat(classify(spec, hw, point, *flags))
+                seen.add(row.bound_class)
+        assert len(seen) >= 2
+
 
 class TestWorkloadClosedForm:
     """Workload rows come from the trace's closed form: no TurnRecord is built,
@@ -748,6 +784,45 @@ class TestWorkloadClosedForm:
         assert built == []
         expand(spec)  # the public trace still builds its records
         assert len(built) == 1_000
+
+
+class TestWorkloadBlocks:
+    """_workload_rows makes a workload sweep's rows a block at a time, as
+    iter_grid does a grid's: a block of at most 2,048 point rows per 1,024
+    turns, then the two totals rows."""
+
+    WORKLOAD = WorkloadSpec("w", turns=2_500, prefill_tokens_per_turn=4_000,
+                            decode_tokens_per_turn=500, batch_size=4)
+
+    def blocks(self):
+        spec, hw = ref48_spec(), resolve_config("b200-node8", "hardware")
+        return analysis._workload_rows(spec, hw, self.WORKLOAD, range(self.WORKLOAD.turns),
+                                       False, True)
+
+    def test_blocks_chain_to_the_held_rows(self):
+        blocks = list(self.blocks())
+        assert list(map(len, blocks)) == [2_048, 2_048, 904, 2]
+        assert all(isinstance(block, list) for block in blocks)
+        assert [row for block in blocks for row in block] == list(sweep_workload(
+            ref48_spec(), resolve_config("b200-node8", "hardware"), self.WORKLOAD, False,
+            True).rows)
+
+    def test_rows_are_made_a_block_at_a_time(self, monkeypatch):
+        """Asking for the first block builds its rows, of the first 1,024
+        turns, and none of the later turns' rows."""
+        built = []
+
+        def counting(*fields):
+            built.append(fields[2])
+            return SweepRow(*fields)
+
+        monkeypatch.setattr(analysis, "SweepRow", counting)
+        blocks = self.blocks()
+        assert built == []
+        assert len(next(blocks)) == 2_048
+        assert sorted(built) == [turn for turn in range(1_024) for _ in Phase]
+        assert list(map(len, blocks)) == [2_048, 904, 2]
+        assert len(built) == 2 * 2_500 + 2
 
 
 class TestWorkloadStrictVerdict:
@@ -841,7 +916,8 @@ class TestStreamedGrid:
                                          for phase in Phase for batch in (1, 4, 16)]
 
     def test_rows_are_made_a_block_at_a_time(self, monkeypatch):
-        """Asking for the first block builds its rows and none of the other
+        """Asking for the first block builds its rows, after the column heads'
+        rows that classify builds at the least batch, and none of the other
         batches' rows."""
         built = []
 
@@ -854,6 +930,6 @@ class TestStreamedGrid:
                            [1000, 2000, 4000], (Phase.DECODE,))
         assert built == []
         assert len(next(blocks)) == 3
-        assert built == [1, 1, 1]
+        assert built == [1] * 6
         assert len(list(blocks)) == 63
-        assert built == [batch for batch in range(1, 65) for _ in range(3)]
+        assert built == [1] * 3 + [batch for batch in range(1, 65) for _ in range(3)]

@@ -1,8 +1,9 @@
 """The CLI writes a grid sweep's artifacts in one streamed pass: its files
 equal the renderers run over the held sweep_grid, byte for byte, in every
 command, format subset and flag combination, and the pass holds one block of
-rows, not the sweep."""
+rows, not the sweep. stream sends no renderer more than 2,048 rows at once."""
 
+import dataclasses
 import io
 import itertools
 import sys
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 from caproof import cli, reports
-from caproof.analysis import BoundClass, iter_grid, sweep_grid
+from caproof.analysis import BoundClass, iter_grid, sweep_grid, sweep_workload
 from caproof.config import resolve_config
 from caproof.model import Phase
 
@@ -154,9 +155,10 @@ def test_memory_does_not_grow_with_the_batch_axis(grid, tmp_path):
 
 def test_a_20k_turn_workload_sweep_stays_bounded(tmp_path):
     """A workload sweep holds its rows (two per turn plus the totals), not
-    streamed like a grid: 20,000 turns of 2,000 prefill and 200 decode
-    tokens peak near 25 MB on Python 3.11. The bound catches a held path
-    that grows."""
+    streamed like a grid, but each renderer formats at most 2,048 of them at
+    once: 20,000 turns of 2,000 prefill and 200 decode tokens peak near 26 MB
+    on Python 3.10-3.13, and near 32 MB when the whole sweep went to each
+    renderer as one block. The bound catches a held path that grows."""
     workload = tmp_path / "long.json"
     workload.write_text('{"type": "workload", "name": "long", "turns": 20000, '
                         '"prefill_tokens_per_turn": 2000, "decode_tokens_per_turn": 200}')
@@ -164,7 +166,78 @@ def test_a_20k_turn_workload_sweep_stays_bounded(tmp_path):
     peak = traced_peak(["sweep", "--model", "dense-70b", "--hardware", "b200-node8",
                         "--workload", str(workload), "--out", str(out)])
     assert (out / "sweep.csv").read_text().count("\n") == 40_003
-    assert peak < 32_000_000, peak
+    assert peak < 29_000_000, peak
+
+
+def recorded(renderer, sizes):
+    """renderer, with the number of rows in each send appended to sizes."""
+    next(renderer)
+    while (rows := (yield)) is not None:
+        sizes.append(len(rows))
+        renderer.send(rows)
+    next(renderer, None)
+
+
+def renderers(out):
+    model = resolve_config("dense-70b", "model")
+    hw = resolve_config("b200-node8", "hardware")
+    return [reports.stream_sweep_csv(out), reports.stream_sweep_text(model.name, hw.name, out),
+            reports.stream_roofline_svg(model, hw, (1.0, 1e4), out)]
+
+
+def five_thousand_rows():
+    model = resolve_config("dense-70b", "model")
+    hw = resolve_config("b200-node8", "hardware")
+    workload = resolve_config("coding-agent", "workload")
+    rows = sweep_workload(model, hw, dataclasses.replace(workload, turns=2_499)).rows
+    assert len(rows) == 5_000
+    return rows
+
+
+@pytest.mark.parametrize("renderer", range(3), ids=["csv", "text", "svg"])
+def test_a_5000_row_block_is_sent_in_slices_of_2048(renderer):
+    """The slices are 2,048, 2,048 and 904 rows, and the artifact's bytes
+    equal those of the renderer sent the whole block at once."""
+    rows, sizes, whole, sliced = five_thousand_rows(), [], io.StringIO(), io.StringIO()
+    held = renderers(whole)[renderer]
+    next(held)
+    held.send(rows)
+    next(held, None)
+    reports.stream([recorded(renderers(sliced)[renderer], sizes)], [rows])
+    assert sizes == [2_048, 2_048, 904]
+    assert sliced.getvalue() == whole.getvalue()
+
+
+def test_an_empty_block_sends_and_writes_nothing():
+    rows = five_thousand_rows()[:10]
+    expected, empty, between = io.StringIO(), io.StringIO(), io.StringIO()
+    reports.stream(renderers(expected), [rows])
+    sizes = []
+    reports.stream([recorded(renderer, sizes) for renderer in renderers(empty)], [[], ()])
+    assert sizes == []
+    reports.stream(renderers(between), [[], rows, ()])
+    assert between.getvalue() == expected.getvalue()
+    nothing = io.StringIO()
+    reports.stream(renderers(nothing), [])
+    assert empty.getvalue() == nothing.getvalue()
+
+
+def test_a_3000_turn_workload_sweep_sends_at_most_2048_rows(tmp_path, monkeypatch):
+    """The CLI holds a workload sweep's 6,002 rows as one block, and stream
+    sends each renderer them 2,048 at a time."""
+    original, sizes = reports.stream, []
+
+    def recording(renderers, blocks):
+        original([recorded(renderer, sizes) for renderer in renderers], blocks)
+
+    monkeypatch.setattr(reports, "stream", recording)
+    workload = tmp_path / "long.json"
+    workload.write_text('{"type": "workload", "name": "long", "turns": 3000, '
+                        '"prefill_tokens_per_turn": 2000, "decode_tokens_per_turn": 200}')
+    assert cli.run(["sweep", "--model", "dense-70b", "--hardware", "b200-node8",
+                    "--workload", str(workload), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(sizes) == sorted([2_048, 2_048, 1_906] * 3)
+    assert (tmp_path / "out" / "sweep.csv").read_text().count("\n") == 6_003
 
 
 def python_calls(work) -> int:

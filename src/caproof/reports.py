@@ -74,15 +74,15 @@ def whole(out: TextIO, text: str) -> Renderer:
 
 class Cells(dict):
     """render(value, *args) of each distinct value, computed once per
-    renderer call. Only a cell that repeats down a (phase, L) grid column is
-    memoized: its length, FLOP count and feasible batch, and the rate and mfu
-    of every row that is not bandwidth-bound. A per-row value (oi, cf, bytes,
-    mbu, and a bandwidth-bound row's rate and mfu) would never be hit again,
-    so it is formatted directly. On a grid the memos hold O(columns) cells,
-    not O(rows). Each row of a workload sweep has its own context, so there
-    the CSV's ints and floats and the text's memos gain cells with every
-    row: O(rows). One instance holds values of one type, since equal keys
-    share a cell and 1 == 1.0."""
+    renderer call; only the sweep CSV uses it. Only a cell that repeats down a
+    (phase, L) grid column is memoized: its length, FLOP count and feasible
+    batch, and the rate and mfu of every row that is not bandwidth-bound. A
+    per-row value (oi, cf, bytes, mbu, and a bandwidth-bound row's rate and
+    mfu) would never be hit again, so it is formatted directly. On a grid the
+    memos hold O(columns) cells, not O(rows). Down a workload's point rows a
+    carried context never repeats, so the CSV starts its number memos afresh
+    at each slice of them: they hold at most one slice's cells. One instance
+    holds values of one type, since equal keys share a cell and 1 == 1.0."""
 
     def __init__(self, render: Callable[..., str], *args):
         super().__init__()
@@ -127,6 +127,8 @@ def stream_sweep_csv(out: TextIO) -> Renderer:
     bandwidth = BoundClass.BANDWIDTH_BOUND
     out.write(",".join(CSV_COLUMNS) + "\n")
     while (rows := (yield)) is not None:
+        if rows and rows[0].turn_index is not None:  # a workload's point rows
+            ints, floats = Cells(format), Cells(format)
         out.writelines([
             f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
             f"{phases[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"
@@ -150,23 +152,20 @@ def sweep_csv(result: SweepResult) -> str:
 
 
 def stream_sweep_text(model: str, hardware: str, out: TextIO) -> Renderer:
-    """The sweep as a fixed-width table, each row's line written as it is
-    formatted. Its memos are those of stream_sweep_csv, with the same split."""
+    """The sweep as a fixed-width table, each row's line formatted by one
+    printf template and written as it is formatted. No cell is memoized: the
+    memos saved less than the per-cell format specs they needed cost."""
     out.write(
         f"model={model} hardware={hardware}\n"
         f"{'kind':<15}{'phase':<9}{'batch':>6}{'context':>9}{'oi':>12}"
         f"{'cf_bytes':>12}  {'class':<18}{'tok/s':>12}{'mfu':>8}{'mbu':>8}\n"
     )
-    phases = {phase: f"{phase.value:<9}" for phase in Phase}
-    bounds = {bound: f"{bound.value:<18}" for bound in BoundClass}
-    lengths, rates, ratios = Cells(format, ">9"), Cells(format, ">12.6g"), Cells(format, ">8.3g")
-    bandwidth = BoundClass.BANDWIDTH_BOUND
+    phases = {phase: phase.value for phase in Phase}
+    bounds = {bound: bound.value for bound in BoundClass}
     while (rows := (yield)) is not None:
         out.writelines([
-            f"{kind:<15}{phases[phase]}{batch:>6}{lengths[length]}{oi:>12.6g}{cf:>12.6g}"
-            f"  {bounds[bound]}"
-            f"{f'{rate:>12.6g}{mfu:>8.3g}' if bound is bandwidth else rates[rate] + ratios[mfu]}"
-            f"{mbu:>8.3g}\n"
+            "%-15s%-9s%6s%9s%12.6g%12.6g  %-18s%12.6g%8.3g%8.3g\n"
+            % (kind, phases[phase], batch, length, oi, cf, bounds[bound], rate, mfu, mbu)
             for (kind, _, _, phase, batch, length, oi, cf, _, _, bound, rate, mfu, mbu,
                  _, _, _, _) in rows
         ])

@@ -93,6 +93,19 @@ class TestCsvByteIdentity:
         for result in random_grids():
             assert sweep_csv(result) == reference_csv(result)
 
+    @pytest.mark.parametrize("carry_context", [True, False])
+    def test_a_workload_sweep_in_three_slices(self, carry_context):
+        """4,096 point rows and the two totals rows go to the renderer as
+        slices of 2,048, 2,048 and 2 rows: the number memos start afresh at
+        each slice of point rows and are kept for the totals slice."""
+        rng = random.Random(27)
+        spec = random_model(rng)
+        workload = WorkloadSpec("w", turns=2_048, prefill_tokens_per_turn=300,
+                                decode_tokens_per_turn=30, carry_context=carry_context)
+        result = sweep_workload(spec, random_hardware(rng, spec), workload)
+        assert len(result.rows) == 4_098
+        assert sweep_csv(result) == reference_csv(result)
+
 
 class TestTextByteIdentity:
     def test_random_grid_rows(self):
@@ -101,6 +114,26 @@ class TestTextByteIdentity:
             assert streamed(lambda out: reports.sweep_text(result, out)) == one_string_text(result)
             classes |= {row.bound_class for row in result.rows}
         assert classes == set(BoundClass)
+
+    def test_template_floats_equal_the_format_specs(self):
+        """The table's printf conversions of its float cells against the
+        f-string specs of one_string_text: subnormal, smallest normal, the
+        rounding edges of 6 and 3 significant digits, the exponent switch,
+        the largest double, and random doubles over 600 decades."""
+        rng = random.Random(27)
+        edges = [0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 999999.5, 9999995.0, 1e16,
+                 1.7976931348623157e308]
+        values = edges + [10 ** rng.uniform(-300, 300) for _ in range(20_000)]
+        for x in values + [-x for x in values]:
+            assert "%12.6g" % x == f"{x:>12.6g}", x
+            assert "%8.3g" % x == f"{x:>8.3g}", x
+
+    def test_template_ints_equal_the_format_specs(self):
+        rng = random.Random(27)
+        ints = [0, 1, 2**53] + [10**k + d for k in range(1, 16) for d in (-1, 0)]
+        for n in ints + [rng.randrange(2**rng.randint(1, 53)) for _ in range(10_000)]:
+            assert "%6s" % n == f"{n:>6}", n
+            assert "%9s" % n == f"{n:>9}", n
 
 
 class RecordingFile(io.StringIO):

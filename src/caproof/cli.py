@@ -4,9 +4,9 @@ Each subcommand is one entry in COMMANDS: its flags and a builder that
 returns the command's reports.Report. Three commands share one builder:
 
     analyze, sweep, roofline-plot   _sweep_command      one sweep report
-    compare-attention               _compare_attention
-    compare-moe                     _compare_moe
-    agent-profile                   _agent_profile
+    compare-attention               _compare_attention  reports.chart
+    compare-moe                     _compare_moe        reports.chart
+    agent-profile                   _agent_profile      reports.chart
 
 Outputs are pure functions of the input files and flags; two identical
 invocations produce byte-identical artifacts.
@@ -23,6 +23,7 @@ import errno
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -221,8 +222,8 @@ def _sweep_command(args) -> reports.Report:
         oi_lo, oi_hi, exceeded = grid_bounds(model, hw, batches, contexts, phases, flags[0])
     return reports.Report(
         csv=reports.stream_sweep_csv,
-        text=lambda out: reports.stream_sweep_text(model.name, hw.name, out),
-        svg=lambda out: reports.stream_roofline_svg(model, hw, (oi_lo, oi_hi), out),
+        text=partial(reports.stream_sweep_text, model.name, hw.name),
+        svg=partial(reports.stream_roofline_svg, model, hw, (oi_lo, oi_hi)),
         blocks=blocks, exceeded=exceeded)
 
 
@@ -245,11 +246,9 @@ def _compare_attention(args) -> reports.Report:
     models = _compared_models(args)
     lengths = _flag("--grid", _context_axis, args.grid)
     rows = reports.compare_attention_rows(models, lengths, batch)
-    return reports.Report(
-        csv=lambda out: reports.whole(out, reports.compare_attention_csv(rows)),
-        text=lambda out: reports.whole(out, reports.compare_attention_text(models, rows, batch)),
-        svg=lambda out: reports.whole(out, reports.compare_attention_svg(models, rows, batch)),
-    )
+    return reports.chart(partial(reports.compare_attention_csv, rows),
+                         partial(reports.compare_attention_text, models, rows, batch),
+                         partial(reports.compare_attention_svg, models, rows, batch))
 
 
 def _compare_moe(args) -> reports.Report:
@@ -257,11 +256,9 @@ def _compare_moe(args) -> reports.Report:
     models = _compared_models(args)
     batches = sorted(set(_flag("--batch", _int_list, args.batch, "1,16", "batch_size")))
     rows = reports.compare_moe_rows(models, batches, context, args.include_activations)
-    return reports.Report(
-        csv=lambda out: reports.whole(out, reports.compare_moe_csv(rows)),
-        text=lambda out: reports.whole(out, reports.compare_moe_text(rows, context)),
-        svg=lambda out: reports.whole(out, reports.compare_moe_svg(rows, context)),
-    )
+    return reports.chart(partial(reports.compare_moe_csv, rows),
+                         partial(reports.compare_moe_text, rows, context),
+                         partial(reports.compare_moe_svg, rows, context))
 
 
 def _agent_profile(args) -> reports.Report:
@@ -270,12 +267,10 @@ def _agent_profile(args) -> reports.Report:
     flags = (args.include_activations, args.replicate_weights)
     rows = [_flag(ref, reports.agent_profile_rows, model, hw, [workload], *flags)[0]
             for ref, workload in zip(refs, _resolve_distinct(args, "workload", refs))]
-    return reports.Report(
-        csv=lambda out: reports.whole(out, reports.agent_profile_csv(rows)),
-        text=lambda out: reports.whole(out, reports.agent_profile_text(rows, model, hw)),
-        svg=lambda out: reports.whole(out, reports.agent_profile_svg(rows, hw)),
-        exceeded=any(row["decode_class"] == BoundClass.CAPACITY_EXCEEDED.value for row in rows),
-    )
+    exceeded = any(row["decode_class"] == BoundClass.CAPACITY_EXCEEDED.value for row in rows)
+    return reports.chart(partial(reports.agent_profile_csv, rows),
+                         partial(reports.agent_profile_text, rows, model, hw),
+                         partial(reports.agent_profile_svg, rows, hw), exceeded)
 
 
 # Each command-specific flag's argparse settings; a command's table entry

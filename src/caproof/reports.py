@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Generator, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .analysis import BoundClass, SweepResult, SweepRow, _workload_rows
@@ -39,9 +40,9 @@ Renderer = Generator[None, Optional[Sequence[SweepRow]], None]  # see stream
 @dataclass(frozen=True)
 class Report:
     """One command's artifacts: per format, a function of the open file that
-    returns the format's renderer, so only the formats asked for are rendered,
-    and the blocks of rows stream sends to them. `exceeded` is set when an
-    analyzed point is capacity_exceeded (the --strict exit)."""
+    returns the format's renderer (a chart command's come from chart), so only
+    the formats asked for are rendered, and the blocks of rows stream sends to
+    them. `exceeded` is set when an analyzed point is capacity_exceeded (--strict)."""
 
     csv: Callable[[TextIO], Renderer]
     text: Callable[[TextIO], Renderer]
@@ -52,28 +53,34 @@ class Report:
 
 def stream(renderers: Sequence[Renderer], blocks: Iterable[Sequence[SweepRow]]) -> None:
     """Write artifacts in one pass over blocks of rows. A renderer writes its
-    head when started, the lines of each slice of at most 2,048 rows it is sent
-    as one list, and its tail at None; an empty block sends nothing. No block
-    is kept once written, so two are never held."""
+    head when started, the lines of each slice of at most 2,048 rows, one list
+    that every renderer is sent and none changes, and its tail at None; an
+    empty block sends nothing. No block is kept once written, so two are never held."""
     for renderer in renderers:
         next(renderer)
     for block in blocks:
         for first in range(0, len(block), 2_048):
+            rows = block[first:first + 2_048]
             for renderer in renderers:
-                renderer.send(block[first:first + 2_048])
+                renderer.send(rows)
+            del rows
         del block
     for renderer in renderers:
         next(renderer, None)
 
 
-def whole(out: TextIO, text: str) -> Renderer:
-    """The renderer of an artifact built as one string, which takes no rows."""
-    out.write(text)
-    yield
+def chart(csv: Callable[[], str], text: Callable[[], str], svg: Callable[[], str],
+          exceeded: bool = False) -> Report:
+    """A chart command's report. Each argument builds its format's artifact as
+    one string, called only when that format is written; the renderer takes no rows."""
+    def written(make: Callable[[], str], out: TextIO) -> Renderer:
+        out.write(make())
+        yield
+    return Report(*(partial(written, make) for make in (csv, text, svg)), exceeded=exceeded)
 
 
 class Cells(dict):
-    """render(value, *args) of each distinct value, computed once per
+    """render(value) of each distinct value, computed once per
     renderer call; only the sweep CSV uses it. Only a cell that repeats down a
     (phase, L) grid column is memoized: its length, FLOP count and feasible
     batch, and the rate and mfu of every row that is not bandwidth-bound. A
@@ -84,12 +91,12 @@ class Cells(dict):
     at each slice of them: they hold at most one slice's cells. One instance
     holds values of one type, since equal keys share a cell and 1 == 1.0."""
 
-    def __init__(self, render: Callable[..., str], *args):
+    def __init__(self, render: Callable[[object], str]):
         super().__init__()
-        self.render, self.args = render, args
+        self.render = render
 
     def __missing__(self, value) -> str:
-        cell = self[value] = self.render(value, *self.args)
+        cell = self[value] = self.render(value)
         return cell
 
 
@@ -234,9 +241,8 @@ def roofline_svg(model: ModelSpec, hw: HardwareSpec, result: SweepResult, out: T
     stream([stream_roofline_svg(model, hw, (min(ois), max(ois)), out)], [result.rows])
 
 
-def compare_attention_rows(
-    models: Sequence[ModelSpec], context_lens: Sequence[int], batch_size: int
-) -> List[Dict[str, float]]:
+def compare_attention_rows(models: Sequence[ModelSpec], context_lens: Sequence[int],
+                           batch_size: int) -> List[Dict[str, float]]:
     rows = []
     for length in context_lens:
         row: Dict[str, float] = {"context_len": length}
@@ -255,24 +261,25 @@ def _csv_table(rows: List[Dict[str, object]]) -> str:
     return buf.getvalue()
 
 
+def _lines(title: str, lines: Iterable[str]) -> str:
+    """A chart's text artifact: its title, then a line per row."""
+    return "\n".join([title, *lines]) + "\n"
+
+
 def compare_attention_csv(rows: List[Dict[str, float]]) -> str:
     return _csv_table(rows)
 
 
-def compare_attention_text(
-    models: Sequence[ModelSpec], rows: List[Dict[str, float]], batch_size: int
-) -> str:
-    lines = [f"capacity footprint per request, batch={batch_size}"]
-    for row in rows:
-        cells = [f"L={row['context_len']}"]
-        cells += [f"{m.name}: {row[f'{m.name}_cf_bytes']:.6g} B" for m in models]
-        lines.append("  ".join(cells))
-    return "\n".join(lines) + "\n"
+def compare_attention_text(models: Sequence[ModelSpec], rows: List[Dict[str, float]],
+                           batch_size: int) -> str:
+    return _lines(f"capacity footprint per request, batch={batch_size}", (
+        "  ".join([f"L={row['context_len']}"]
+                  + [f"{m.name}: {row[f'{m.name}_cf_bytes']:.6g} B" for m in models])
+        for row in rows))
 
 
-def compare_attention_svg(
-    models: Sequence[ModelSpec], rows: List[Dict[str, float]], batch_size: int
-) -> str:
+def compare_attention_svg(models: Sequence[ModelSpec], rows: List[Dict[str, float]],
+                          batch_size: int) -> str:
     width, height = 620, 420
     x0, y0, x1, y1 = 80, 40, width - 150, height - 60
     canvas = Canvas(width, height)
@@ -305,17 +312,15 @@ def compare_moe_rows(
         for batch in batch_sizes:
             point = OperatingPoint(context_len, batch, Phase.DECODE)
             metrics = decode_metrics(spec, point, include_activations)
-            rows.append(
-                {
-                    "model": spec.name,
-                    "batch_size": batch,
-                    "context_len": context_len,
-                    "weight_floor_bytes": weight_bytes(spec) / batch,
-                    "kv_bytes": kv_bytes_per_token(spec) * context_len,
-                    "cf_bytes": metrics.cf,
-                    "decode_oi": metrics.oi,
-                }
-            )
+            rows.append({
+                "model": spec.name,
+                "batch_size": batch,
+                "context_len": context_len,
+                "weight_floor_bytes": weight_bytes(spec) / batch,
+                "kv_bytes": kv_bytes_per_token(spec) * context_len,
+                "cf_bytes": metrics.cf,
+                "decode_oi": metrics.oi,
+            })
     return rows
 
 
@@ -324,14 +329,11 @@ def compare_moe_csv(rows: List[Dict[str, object]]) -> str:
 
 
 def compare_moe_text(rows: List[Dict[str, object]], context_len: int) -> str:
-    lines = [f"decode footprint and intensity at context {context_len}"]
-    for row in rows:
-        lines.append(
-            f"{row['model']} B={row['batch_size']}: weights {row['weight_floor_bytes']:.6g} B"
-            f" + kv {row['kv_bytes']:.6g} B = {row['cf_bytes']:.6g} B,"
-            f" decode OI {row['decode_oi']:.6g}"
-        )
-    return "\n".join(lines) + "\n"
+    return _lines(f"decode footprint and intensity at context {context_len}", (
+        f"{row['model']} B={row['batch_size']}: weights {row['weight_floor_bytes']:.6g} B"
+        f" + kv {row['kv_bytes']:.6g} B = {row['cf_bytes']:.6g} B,"
+        f" decode OI {row['decode_oi']:.6g}"
+        for row in rows))
 
 
 def _moe_panel(canvas, x0, y0, x1, y1, rows, layers, title, y_label):
@@ -382,22 +384,20 @@ def agent_profile_rows(model: ModelSpec, hw: HardwareSpec, workloads: Sequence[W
     for workload in workloads:
         (prefill, decode), = _workload_rows(model, hw, workload, (), include_activations,
                                             replicate_weights)
-        rows.append(
-            {
-                "workload": workload.name,
-                "turns": workload.turns,
-                "batch_size": decode.batch_size,
-                "prefill_total_tokens": decode.prefill_total_tokens,
-                "decode_total_tokens": decode.decode_total_tokens,
-                "final_context": decode.context_len,
-                "cf_bytes": decode.cf_bytes,
-                "prefill_oi": prefill.oi,
-                "decode_oi": decode.oi,
-                "prefill_class": prefill.bound_class.value,
-                "decode_class": decode.bound_class.value,
-                "min_devices_decode": decode.min_devices,
-            }
-        )
+        rows.append({
+            "workload": workload.name,
+            "turns": workload.turns,
+            "batch_size": decode.batch_size,
+            "prefill_total_tokens": decode.prefill_total_tokens,
+            "decode_total_tokens": decode.decode_total_tokens,
+            "final_context": decode.context_len,
+            "cf_bytes": decode.cf_bytes,
+            "prefill_oi": prefill.oi,
+            "decode_oi": decode.oi,
+            "prefill_class": prefill.bound_class.value,
+            "decode_class": decode.bound_class.value,
+            "min_devices_decode": decode.min_devices,
+        })
     return rows
 
 
@@ -406,16 +406,13 @@ def agent_profile_csv(rows: List[Dict[str, object]]) -> str:
 
 
 def agent_profile_text(rows: List[Dict[str, object]], model: ModelSpec, hw: HardwareSpec) -> str:
-    lines = [f"agent profiles for {model.name} on {hw.name}"]
-    for row in rows:
-        lines.append(
-            f"{row['workload']}: {row['turns']} turns,"
-            f" prefill {row['prefill_total_tokens']} decode {row['decode_total_tokens']},"
-            f" final context {row['final_context']},"
-            f" cf {row['cf_bytes']:.6g} B ({row['decode_class']}),"
-            f" OI prefill {row['prefill_oi']:.6g} / decode {row['decode_oi']:.6g}"
-        )
-    return "\n".join(lines) + "\n"
+    return _lines(f"agent profiles for {model.name} on {hw.name}", (
+        f"{row['workload']}: {row['turns']} turns,"
+        f" prefill {row['prefill_total_tokens']} decode {row['decode_total_tokens']},"
+        f" final context {row['final_context']},"
+        f" cf {row['cf_bytes']:.6g} B ({row['decode_class']}),"
+        f" OI prefill {row['prefill_oi']:.6g} / decode {row['decode_oi']:.6g}"
+        for row in rows))
 
 
 def _bar_panel_log(canvas, x0, y0, x1, y1, rows, keys, colors, title, y_label):

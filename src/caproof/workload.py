@@ -13,8 +13,8 @@ from typing import Tuple
 
 from .model import _bound
 
-# Rows one sweep may have. Held, they take about 570 MB as sweep_grid rows (283 B each) and
-# 710 MB as sweep_workload rows (355 B; 357 at its peak), by tracemalloc. The CLI streams grids.
+# Rows one sweep may have. Held, by tracemalloc on 3.11, a sweep_grid row is 283 B (128k grid) and
+# a sweep_workload row 345-374 B (100,000 turns): 567 and 690-748 MB. The CLI streams grids.
 MAX_SWEEP_ROWS = 2_000_000
 MAX_TURNS = (MAX_SWEEP_ROWS - 2) // 2  # a prefill and a decode row a turn, two totals
 

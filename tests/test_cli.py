@@ -181,6 +181,36 @@ class TestCommands:
                     "--grid", "B=1,L=4k", "--format", "csv", "--out", str(tmp_path)]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
+    @pytest.mark.parametrize("command, flags", [
+        ("compare-attention", ["--model", "mha-48x2048", "--model", "gqa8-48x2048"]),
+        ("compare-moe", ["--model", "dense-70b", "--model", "moe-256e"]),
+        ("agent-profile", ["--model", "dense-70b", "--hardware", "b200-node8",
+                           "--workload", "chatbot", "--workload", "coding-agent"]),
+    ])
+    @pytest.mark.parametrize("refused, formats, written", [
+        (("text", "svg"), "csv", ["csv"]),
+        (("csv",), "svg,text", ["svg", "txt"]),
+    ])
+    def test_chart_command_builds_only_the_formats_asked_for(self, command, flags, refused,
+                                                             formats, written, tmp_path,
+                                                             monkeypatch):
+        """A chart command builds a format's artifact only when that format is
+        written: with the other formats' builders made to raise, it exits 0 and
+        writes the same bytes as a run of every format."""
+        assert run([command, *flags, "--out", str(tmp_path / "all")]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a format that was not asked for")
+
+        for fmt in refused:
+            monkeypatch.setattr(reports, f"{command.replace('-', '_')}_{fmt}", refuse)
+        out = tmp_path / "some"
+        assert run([command, *flags, "--format", formats, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [f"{command}.{ext}" for ext in written]
+        for ext in written:
+            name = f"{command}.{ext}"
+            assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
     def test_failing_renderer_leaves_no_partial_file(self, tmp_path, monkeypatch):
         """All formats are written in one pass, so when one renderer raises the
         others are partial too: every artifact of the run is removed."""

@@ -1,7 +1,7 @@
 """The benchmark's per-layer tracer (perfbench/tracer.py) wraps caproof
 functions by name. A rename or a deleted function breaks the traced benchmark
 runs without failing any other test, so this file loads the tracer unchanged
-and checks every name it binds, then runs it on three commands."""
+and checks every name it binds, then runs it on five commands."""
 
 import importlib.util
 import json
@@ -38,7 +38,9 @@ def test_every_traced_name_resolves(tracer):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--model", "dense-70b", "--hardware", "b200-sxm",
      "--batch", "1,16", "--context", "4k,300k"],
+    ["compare-attention", "--model", "mha-48x2048", "--model", "mla-48x2048"],
     ["compare-moe", "--model", "dense-70b", "--model", "moe-256e"],
+    ["agent-profile", "--model", "dense-70b", "--hardware", "b200-node8"],
     ["sweep", "--model", "dense-70b", "--hardware", "b200-sxm", "--workload", "chatbot"],
 ])
 def test_traced_run_exits_0(argv, tmp_path):
@@ -48,8 +50,14 @@ def test_traced_run_exits_0(argv, tmp_path):
                            "--out", str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads(stats.read_text())["spans"]
+    stats = json.loads(stats.read_text())
+    spans = stats["spans"]
     if argv[0] == "analyze":
         assert spans["analysis.classify"][0] >= 1
     if argv[0] == "sweep":
         assert spans["analysis.sweep"][0] >= 1
+    if argv[0] in ("compare-attention", "compare-moe", "agent-profile"):
+        # a chart command's rows, CSV and SVG builders, called by their bound names
+        for span in ("reports.rows", "reports.csv", "reports.chart"):
+            assert spans[span][0] >= 1, span
+        assert stats["csv_bytes"] > 0

@@ -56,8 +56,8 @@ def _require(data: Dict[str, Any], key: str, source: str) -> Any:
 
 def _check(value: Any, key: str, kind: type, source: str) -> Any:
     """value as a JSON scalar of the given type: bool is not int, an int is
-    at most MAX_EXACT_INT in magnitude, int widens to float, and a float must
-    be finite."""
+    at most MAX_EXACT_INT in magnitude, int widens to float, a float must be
+    finite, and a str must hold no surrogate, which UTF-8 cannot encode."""
     if kind is int and isinstance(value, bool):
         _fail(source, f"key '{key}' must be an integer, got a boolean")
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
@@ -71,6 +71,8 @@ def _check(value: Any, key: str, kind: type, source: str) -> Any:
         _fail(source, f"key '{key}' must be at most 2**53 in magnitude")
     if kind is float and not math.isfinite(value):
         _fail(source, f"key '{key}' must be a finite number, got {value}")
+    if kind is str and any("\ud800" <= char <= "\udfff" for char in value):
+        _fail(source, f"key '{key}' must be text UTF-8 can encode, got a lone surrogate")
     return value
 
 

@@ -336,21 +336,30 @@ def compare_moe_text(rows: List[Dict[str, object]], context_len: int) -> str:
         for row in rows))
 
 
-def _moe_panel(canvas, x0, y0, x1, y1, rows, layers, title, y_label):
-    """A compare-moe panel: its frame on a log axis over half the least to twice
-    the greatest layer value, then a bar per row, each layer (key, fill, opacity)
-    drawn from y1 up to its value in order, with the row's model and batch under it."""
-    values = [row[key] for row in rows for key, _, _ in layers]
-    ys = LogScale(min(values) / 2, max(values) * 2, y1, y0)
+def _bars(canvas, x0, y0, x1, y1, rows, bars, labels, title, y_label, pad, group, fill):
+    """A log-axis panel over half the least to twice (as a float) the greatest
+    positive value drawn. Each row's slot of the width holds a group `pad` of it in
+    and `group` of it wide, an equal share per bar in `bars`, `fill` of each share
+    drawn. A bar is a list of (key, color, opacity) layers drawn from y1 up in
+    order; a value <= 0 draws nothing. `labels` are templates formatted with the
+    row, one line each under its group, the first rotated. Returns the axis."""
+    values = [row[key] for row in rows for bar in bars for key, _, _ in bar if row[key] > 0]
+    ys = LogScale(min(values) / 2, max(values) * 2.0, y1, y0)
     draw_frame(canvas, x0, y0, x1, y1, title=title, y_label=y_label, ys=ys)
     slot = (x1 - x0) / len(rows)
+    bar_w = slot * group / len(bars)
     for i, row in enumerate(rows):
-        bar_x = x0 + slot * i + slot * 0.2
-        for key, fill, opacity in layers:
-            top = ys(row[key])
-            canvas.rect(bar_x, top, slot * 0.6, y1 - top, fill=fill, opacity=opacity)
-        canvas.text(bar_x + slot * 0.3, y1 + 14, f"{row['model']}", size=8, anchor="middle", rotate=20)
-        canvas.text(bar_x + slot * 0.3, y1 + 26, f"B={row['batch_size']}", size=8, anchor="middle")
+        base_x = x0 + slot * i + slot * pad
+        for j, bar in enumerate(bars):
+            for key, color, opacity in bar:
+                if row[key] > 0:
+                    top = ys(row[key])
+                    canvas.rect(base_x + j * bar_w, top, bar_w * fill, y1 - top, fill=color,
+                                opacity=opacity)
+        for k, label in enumerate(labels):
+            canvas.text(base_x + slot * group / 2, y1 + 14 + 12 * k, label.format_map(row), size=8,
+                        anchor="middle", rotate=None if k else 20)
+    return ys
 
 
 def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
@@ -361,16 +370,17 @@ def compare_moe_svg(rows: List[Dict[str, object]], context_len: int) -> str:
     canvas = Canvas(width, height)
     mid = width // 2
     x0, y0, y1 = 70, 40, height - 90
-    _moe_panel(canvas, x0, y0, mid - 30, y1, rows,
-               [("cf_bytes", "#3182ce", None), ("weight_floor_bytes", "#a0aec0", 0.9)],
-               f"footprint per request at context {si(context_len)}", "bytes per request")
+    labels = ["{model}", "B={batch_size}"]
+    _bars(canvas, x0, y0, mid - 30, y1, rows,
+          [[("cf_bytes", "#3182ce", None), ("weight_floor_bytes", "#a0aec0", 0.9)]], labels,
+          f"footprint per request at context {si(context_len)}", "bytes per request", 0.2, 0.6, 1)
     canvas.rect(x0, height - 34, 10, 10, fill="#a0aec0", opacity=0.9)
     canvas.text(x0 + 14, height - 25, "model weights (amortized)", size=9)
     canvas.rect(x0 + 180, height - 34, 10, 10, fill="#3182ce")
     canvas.text(x0 + 194, height - 25, "KV cache above the floor", size=9)
 
-    _moe_panel(canvas, mid + 50, y0, width - 40, y1, rows,
-               [("decode_oi", "#d69e2e", None)], "decode operational intensity", "FLOPs/byte")
+    _bars(canvas, mid + 50, y0, width - 40, y1, rows, [[("decode_oi", "#d69e2e", None)]], labels,
+          "decode operational intensity", "FLOPs/byte", 0.2, 0.6, 1)
     return canvas.to_svg()
 
 
@@ -415,27 +425,6 @@ def agent_profile_text(rows: List[Dict[str, object]], model: ModelSpec, hw: Hard
         for row in rows))
 
 
-def _bar_panel_log(canvas, x0, y0, x1, y1, rows, keys, colors, title, y_label):
-    """Grouped bars on a log y-axis from half the least to twice (as a float)
-    the greatest positive value of the keys: a group per row, labelled with
-    its workload, and a bar per key in colors' order. A value <= 0 draws no
-    bar. Returns the axis."""
-    values = [row[key] for row in rows for key in keys if row[key] > 0]
-    ys = LogScale(min(values) / 2, max(values) * 2.0, y1, y0)
-    draw_frame(canvas, x0, y0, x1, y1, title=title, y_label=y_label, ys=ys)
-    slot = (x1 - x0) / len(rows)
-    group_w = slot * 0.7
-    bar_w = group_w / len(keys)
-    for i, row in enumerate(rows):
-        base_x = x0 + slot * i + slot * 0.15
-        for j, key in enumerate(keys):
-            if row[key] > 0:
-                top = ys(row[key])
-                canvas.rect(base_x + j * bar_w, top, bar_w * 0.9, y1 - top, fill=colors[j])
-        canvas.text(base_x + group_w / 2, y1 + 14, row["workload"], size=8, anchor="middle", rotate=20)
-    return ys
-
-
 def agent_profile_svg(rows: List[Dict[str, object]], hw: HardwareSpec) -> str:
     """Token totals, footprint vs one-device capacity, and phase OI per agent.
     The capacity line is drawn only where the capacity lies on the footprint axis."""
@@ -444,22 +433,24 @@ def agent_profile_svg(rows: List[Dict[str, object]], hw: HardwareSpec) -> str:
     y0, y1 = 40, height - 90
 
     tokens_x0 = 60
-    _bar_panel_log(canvas, tokens_x0, y0, 330, y1, rows,
-                   ["prefill_total_tokens", "decode_total_tokens"], ["#3182ce", "#d69e2e"],
-                   "tokens per task", "tokens")
+    labels = ["{workload}"]
+    _bars(canvas, tokens_x0, y0, 330, y1, rows,
+          [[("prefill_total_tokens", "#3182ce", None)], [("decode_total_tokens", "#d69e2e", None)]],
+          labels, "tokens per task", "tokens", 0.15, 0.7, 0.9)
     canvas.rect(tokens_x0, height - 34, 10, 10, fill="#3182ce")
     canvas.text(tokens_x0 + 14, height - 25, "prefill", size=9)
     canvas.rect(tokens_x0 + 70, height - 34, 10, 10, fill="#d69e2e")
     canvas.text(tokens_x0 + 84, height - 25, "decode", size=9)
 
     cf_x0, cf_x1 = 390, 650
-    cf_scale = _bar_panel_log(canvas, cf_x0, y0, cf_x1, y1, rows, ["cf_bytes"], ["#805ad5"],
-                              "footprint per request (B=1 weights + KV)", "bytes")
+    cf_scale = _bars(canvas, cf_x0, y0, cf_x1, y1, rows, [[("cf_bytes", "#805ad5", None)]], labels,
+                     "footprint per request (B=1 weights + KV)", "bytes", 0.15, 0.7, 0.9)
     if cf_scale.lo <= hw.mem_capacity <= cf_scale.hi:
         cap_y = cf_scale(hw.mem_capacity)
         canvas.line(cf_x0, cap_y, cf_x1, cap_y, stroke="#666", width=1.5, dash="5,3")
         canvas.text(cf_x1 - 4, cap_y - 4, "one-device capacity", size=8, anchor="end", color="#666")
 
-    _bar_panel_log(canvas, 710, y0, 950, y1, rows, ["prefill_oi", "decode_oi"],
-                   ["#3182ce", "#d69e2e"], "operational intensity at final context", "FLOPs/byte")
+    _bars(canvas, 710, y0, 950, y1, rows,
+          [[("prefill_oi", "#3182ce", None)], [("decode_oi", "#d69e2e", None)]], labels,
+          "operational intensity at final context", "FLOPs/byte", 0.15, 0.7, 0.9)
     return canvas.to_svg()

@@ -218,6 +218,9 @@ def test_cli_error_names_the_file_once(tmp_path, capsys, monkeypatch):
     ("model", dict(MINIMAL_MODEL, moe=5), "key 'moe' must be an object, got int"),
     ("hardware", dict(HARDWARE, mem_bandwidth=int("9" * 400)),
      "key 'mem_bandwidth' must be a finite number, got an integer beyond float range"),
+    # JSON can escape a lone surrogate, which no artifact could then be written with.
+    ("model", dict(MINIMAL_MODEL, name="bad\ud800"),
+     "key 'name' must be text UTF-8 can encode, got a lone surrogate"),
     ("model", dict(MINIMAL_MODEL, d_model=66),
      "head_dim omitted but d_model is not divisible by num_heads (66 / 4)"),
     # A repeated key, at any depth, which json.loads would overwrite with its last value.

@@ -6,8 +6,9 @@ analysis with both accounting flags, a prefill-only grid, a grid whose rows
 hold every bound class (bandwidth-bound among them), the same grid with both
 accounting flags (prefill rows with activations, and replicated rows that no
 aggregation fits, min_devices 0), a workload sweep,
-a grid-driven roofline plot, and the three comparison/profile charts, the
-agent profile also on a device whose capacity lies below the footprint axis,
+a grid-driven roofline plot, and the three comparison/profile charts. The
+MoE comparison is also drawn with nine bar groups, and the agent profile with
+one group alone and on a device whose capacity lies below the footprint axis,
 so that its chart has no capacity line.
 
 To re-record after an intended output change:
@@ -57,6 +58,10 @@ SCENARIOS = {
         "compare-moe", "--model", "dense-70b", "--model", "moe-256e",
         "--batch", "1,8", "--context", "32k",
     ],
+    "compare-moe-three": [
+        "compare-moe", "--model", "dense-70b", "--model", "moe-256e", "--model", "mla-48x2048",
+        "--batch", "1,4,64", "--context", "128k", "--include-activations",
+    ],
     "agent-profile-two": [
         "agent-profile", "--model", "dense-70b", "--hardware", "b200-node8",
         "--workload", "coding-agent", "--workload", "chatbot",
@@ -64,6 +69,10 @@ SCENARIOS = {
     "agent-profile-unit-device": [
         "agent-profile", "--model", "dense-70b", "--hardware", "unit-device",
         "--workload", "chatbot", "--workload", "web-use",
+    ],
+    "agent-profile-one": [
+        "agent-profile", "--model", "moe-256e", "--hardware", "b200-sxm",
+        "--workload", "computer-use",
     ],
 }
 

@@ -82,11 +82,7 @@ def _expand_range(expr: str) -> List[int]:
             raw = (round(10 ** (lo + (hi - lo) * i / (count - 1))) for i in range(count))
         else:
             raw = (round(start + (stop - start) * i / (count - 1)) for i in range(count))
-    values = []
-    for v in raw:
-        if not values or v > values[-1]:
-            values.append(v)
-    return values
+    return sorted(set(raw))  # every mode rises or holds, so this drops the repeats
 
 
 def parse_grid(text: str) -> Dict[str, List[int]]:
@@ -102,15 +98,13 @@ def parse_grid(text: str) -> Dict[str, List[int]]:
         if not piece:
             continue
         if "=" in piece:
-            name, _, expr = piece.partition("=")
+            name, _, piece = piece.partition("=")
             current = name.strip().upper()
             if current not in ("B", "L"):
                 raise ConfigError(f"unknown grid dimension '{current}' (use B and L)")
-            dims.setdefault(current, []).extend(_expand_range(expr))
-        else:
-            if current is None:
-                raise ConfigError(f"grid piece '{piece}' appears before any dimension")
-            dims[current].extend(_expand_range(piece))
+        elif current is None:
+            raise ConfigError(f"grid piece '{piece}' appears before any dimension")
+        dims.setdefault(current, []).extend(_expand_range(piece))
     if not dims:
         raise ConfigError("empty grid")
     return dims

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from importlib import resources
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -33,6 +32,7 @@ _ATTENTION = {cls.kind: cls for cls in (MHA, GQA, MLA)}
 _NESTED = {"MoESpec": MoESpec}
 _SCALARS = {"str": str, "int": int, "float": float, "bool": bool}
 
+_CATALOG = Path(__file__).with_name("catalog")  # the presets: package data, installed as files
 _CATALOG_DIRS = {"model": "models", "hardware": "hardware", "workload": "workloads"}
 
 # The largest integer magnitude a float holds exactly. Every integer input is
@@ -56,8 +56,8 @@ def _require(data: Dict[str, Any], key: str, source: str) -> Any:
 
 def _check(value: Any, key: str, kind: type, source: str) -> Any:
     """value as a JSON scalar of the given type: bool is not int, an int is
-    at most MAX_EXACT_INT in magnitude, int widens to float, a float must be
-    finite, and a str must hold no surrogate, which UTF-8 cannot encode."""
+    at most MAX_EXACT_INT in magnitude, int widens to float and a float must
+    be finite."""
     if kind is int and isinstance(value, bool):
         _fail(source, f"key '{key}' must be an integer, got a boolean")
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
@@ -71,8 +71,6 @@ def _check(value: Any, key: str, kind: type, source: str) -> Any:
         _fail(source, f"key '{key}' must be at most 2**53 in magnitude")
     if kind is float and not math.isfinite(value):
         _fail(source, f"key '{key}' must be a finite number, got {value}")
-    if kind is str and any("\ud800" <= char <= "\udfff" for char in value):
-        _fail(source, f"key '{key}' must be text UTF-8 can encode, got a lone surrogate")
     return value
 
 
@@ -113,13 +111,10 @@ def _field(f: dataclasses.Field, value: Any, source: str, allow_unknown: bool) -
     if kind == "Dict[int, float]":  # peak_flops: bit width -> FLOP/s
         peaks = {}
         for bits, rate in _object(value, f.name, source).items():
-            try:
-                width = int(bits)
-            except (TypeError, ValueError):
-                width = None
-            if str(width) != bits:  # "016", " 16" and "1_6" would alias the width 16
+            # "016", " 16" and "1_6" would alias 16; the cap keeps int() under its 4,300-digit limit
+            if not (bits.isdecimal() and len(bits) <= 16 and str(int(bits)) == bits):
                 _fail(source, f"{f.name} key '{bits}' is not an integer bit width")
-            peaks[width] = _check(rate, bits, float, inner)
+            peaks[int(bits)] = _check(rate, bits, float, inner)
         return peaks
     if kind == "AttentionKind":  # the variant is chosen by its "kind" key
         data = _object(value, f.name, source)
@@ -193,29 +188,21 @@ def dump_config(spec: Spec, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2) + "\n", encoding="utf-8")
 
 
-def _catalog_root():
-    return resources.files("caproof").joinpath("catalog")
-
-
 def list_catalog(kind: str) -> List[str]:
     """Names of bundled presets for 'model', 'hardware', or 'workload'."""
-    directory = _catalog_root().joinpath(_CATALOG_DIRS[kind])
-    return sorted(entry.name[: -len(".json")] for entry in directory.iterdir() if entry.name.endswith(".json"))
+    return sorted(entry.stem for entry in (_CATALOG / _CATALOG_DIRS[kind]).glob("*.json"))
 
 
 def resolve_config(ref: str, kind: str, allow_unknown: bool = False) -> Spec:
     """Resolve a --model/--hardware/--workload argument: a bundled catalog
     name first, then a filesystem path."""
+    path: Union[str, Path] = ref
     if "/" not in ref and "\\" not in ref and not ref.endswith(".json"):
-        entry = _catalog_root().joinpath(_CATALOG_DIRS[kind], ref + ".json")
-        if entry.is_file():
-            with resources.as_file(entry) as real_path:
-                spec = load_config(real_path, allow_unknown)
-        else:
+        path = _CATALOG / _CATALOG_DIRS[kind] / (ref + ".json")
+        if not path.is_file():
             names = ", ".join(list_catalog(kind)) or "(none)"
             _fail(ref, f"not a bundled {kind} preset (have: {names}) and not a path")
-    else:
-        spec = load_config(ref, allow_unknown)
+    spec = load_config(path, allow_unknown)
     if not isinstance(spec, _TYPES[kind]):
         _fail(ref, f"expected a {kind} config, got type '{_TYPE_NAMES[type(spec)]}'")
     return spec

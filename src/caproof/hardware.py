@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .model import VALID_ELEMENT_BITS, _bound
+from .model import VALID_ELEMENT_BITS, _bound, _text
 
 
 class UnknownPrecisionError(ValueError):
@@ -26,6 +26,7 @@ class HardwareSpec:
     num_devices: int = 1
 
     def __post_init__(self):
+        _text("name", self.name)
         if not self.peak_flops:
             raise ValueError("peak_flops must have at least one precision entry")
         for bits, rate in self.peak_flops.items():

@@ -34,6 +34,12 @@ def _bound(name: str, value, rule: str) -> None:
         raise ValueError(f"{name} must be {rule}, got {value}")
 
 
+def _text(name: str, value: str) -> None:
+    """ValueError if value holds a lone surrogate, which UTF-8 cannot encode."""
+    if any("\ud800" <= char <= "\udfff" for char in value):
+        raise ValueError(f"{name} must be text UTF-8 can encode, got a lone surrogate")
+
+
 class Phase(enum.Enum):
     PREFILL = "prefill"
     DECODE = "decode"
@@ -122,6 +128,7 @@ class ModelSpec:
     kv_bits: int = 16
 
     def __post_init__(self):
+        _text("name", self.name)
         for field_name in ("num_layers", "d_model", "num_heads", "d_ff"):
             _bound(field_name, getattr(self, field_name), "> 0")
         if self.head_dim is None:

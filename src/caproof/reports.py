@@ -34,6 +34,8 @@ CLASS_COLORS = {
 SERIES_COLORS = ["#3182ce", "#d69e2e", "#38a169", "#805ad5", "#dd6b20", "#319795"]
 
 CSV_COLUMNS = SweepRow._fields
+# A phase or class cell, in text and CSV alike: the values are lowercase identifiers, never quoted.
+_ENUM_CELLS = {member: member.value for member in (*Phase, *BoundClass)}
 Renderer = Generator[None, Optional[Sequence[SweepRow]], None]  # see stream
 
 
@@ -122,15 +124,13 @@ def stream_sweep_csv(out: TextIO) -> Renderer:
     """The sweep CSV: CSV_COLUMNS, full float precision, deterministic order,
     byte-identical to write_csv. Each row is formatted as one line and written
     as it is formatted, so the CSV is never held whole: floats with repr, ints
-    with str, None as an empty cell, and each distinct string cell quoted once
-    by the csv module. The cells that repeat down a grid column (see Cells)
+    with str, None as an empty cell, and each distinct kind and workload quoted
+    once by the csv module. The cells that repeat down a grid column (see Cells)
     are formatted once per distinct value (format without a spec is str, and
     a float's str is its repr); mbu, which is ridge/oi on a compute-bound
     row, and a bandwidth-bound row's rate and mfu are formatted per row."""
     quoted = Cells(_quoted)
     ints, floats = Cells(format), Cells(format)
-    phases = {phase: quoted[phase.value] for phase in Phase}
-    bounds = {bound: quoted[bound.value] for bound in BoundClass}
     bandwidth = BoundClass.BANDWIDTH_BOUND
     out.write(",".join(CSV_COLUMNS) + "\n")
     while (rows := (yield)) is not None:
@@ -138,8 +138,8 @@ def stream_sweep_csv(out: TextIO) -> Renderer:
             ints, floats = Cells(format), Cells(format)
         out.writelines([
             f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
-            f"{phases[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"
-            f"{nbytes!r},{bounds[bound]},"
+            f"{_ENUM_CELLS[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"
+            f"{nbytes!r},{_ENUM_CELLS[bound]},"
             f"{f'{rate!r},{mfu!r}' if bound is bandwidth else f'{floats[rate]},{floats[mfu]}'},"
             f"{mbu!r},"
             f"{ints[feasible]},{devices},"
@@ -167,12 +167,10 @@ def stream_sweep_text(model: str, hardware: str, out: TextIO) -> Renderer:
         f"{'kind':<15}{'phase':<9}{'batch':>6}{'context':>9}{'oi':>12}"
         f"{'cf_bytes':>12}  {'class':<18}{'tok/s':>12}{'mfu':>8}{'mbu':>8}\n"
     )
-    phases = {phase: phase.value for phase in Phase}
-    bounds = {bound: bound.value for bound in BoundClass}
     while (rows := (yield)) is not None:
         out.writelines([
             "%-15s%-9s%6s%9s%12.6g%12.6g  %-18s%12.6g%8.3g%8.3g\n"
-            % (kind, phases[phase], batch, length, oi, cf, bounds[bound], rate, mfu, mbu)
+            % (kind, _ENUM_CELLS[phase], batch, length, oi, cf, _ENUM_CELLS[bound], rate, mfu, mbu)
             for (kind, _, _, phase, batch, length, oi, cf, _, _, bound, rate, mfu, mbu,
                  _, _, _, _) in rows
         ])

@@ -107,25 +107,23 @@ def draw_frame(
     y0: float,
     x1: float,
     y1: float,
-    title: Optional[str] = None,
+    title: str,
+    y_label: str,
+    ys: LogScale,
     x_label: Optional[str] = None,
-    y_label: Optional[str] = None,
     xs: Optional[LogScale] = None,
-    ys: Optional[LogScale] = None,
 ):
-    """Plot frame: border plus optional title, axis labels and, for each
-    scale given, its decade ticks. The plotting area is (x0, y0) top-left to
-    (x1, y1) bottom-right."""
+    """Plot frame: border, title, y label and the y scale's decade ticks,
+    plus the x label and the x scale's ticks when given (the bar panels have
+    neither). The plotting area is (x0, y0) top-left to (x1, y1) bottom-right."""
     canvas.rect(x0, y0, x1 - x0, y1 - y0, fill="none", stroke="#999")
-    if title:
-        canvas.text((x0 + x1) / 2, y0 - 8, title, size=12, anchor="middle")
+    canvas.text((x0 + x1) / 2, y0 - 8, title, size=12, anchor="middle")
     if x_label:
         canvas.text((x0 + x1) / 2, y1 + 32, x_label, anchor="middle")
-    if y_label:
-        canvas.text(x0 - 46, (y0 + y1) / 2, y_label, anchor="middle", rotate=-90)
+    canvas.text(x0 - 46, (y0 + y1) / 2, y_label, anchor="middle", rotate=-90)
     for tick in xs.ticks() if xs else ():
         canvas.line(xs(tick), y1, xs(tick), y1 + 4)
         canvas.text(xs(tick), y1 + 16, si(tick), size=9, anchor="middle")
-    for tick in ys.ticks() if ys else ():
+    for tick in ys.ticks():
         canvas.line(x0 - 4, ys(tick), x0, ys(tick))
         canvas.text(x0 - 6, ys(tick) + 3, si(tick), size=9, anchor="end")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .model import _bound
+from .model import _bound, _text
 
 # Rows one sweep may have. Held, by tracemalloc on 3.11, a sweep_grid row is 283 B (128k grid) and
 # a sweep_workload row 345-374 B (100,000 turns): 567 and 690-748 MB. The CLI streams grids.
@@ -29,6 +29,7 @@ class WorkloadSpec:
     batch_size: int = 1
 
     def __post_init__(self):
+        _text("name", self.name)
         _bound("turns", self.turns, ">= 1")
         _bound("turns", self.turns, f"<= {MAX_TURNS}")
         _bound("prefill_tokens_per_turn", self.prefill_tokens_per_turn, ">= 0")

@@ -220,7 +220,7 @@ def test_cli_error_names_the_file_once(tmp_path, capsys, monkeypatch):
      "key 'mem_bandwidth' must be a finite number, got an integer beyond float range"),
     # JSON can escape a lone surrogate, which no artifact could then be written with.
     ("model", dict(MINIMAL_MODEL, name="bad\ud800"),
-     "key 'name' must be text UTF-8 can encode, got a lone surrogate"),
+     "name must be text UTF-8 can encode, got a lone surrogate"),
     ("model", dict(MINIMAL_MODEL, d_model=66),
      "head_dim omitted but d_model is not divisible by num_heads (66 / 4)"),
     # A repeated key, at any depth, which json.loads would overwrite with its last value.
@@ -235,6 +235,9 @@ def test_cli_error_names_the_file_once(tmp_path, capsys, monkeypatch):
     ("hardware", '{"type": "hardware", "name": "h", "peak_flops": {"16": 1e15, "16": 2e15}, '
                  '"mem_bandwidth": 1e12, "mem_capacity": 1e11}',
      "invalid JSON: repeated key '16'"),
+    # str(None) == "None": a key is a width only if it is its own canonical digits.
+    ("hardware", dict(HARDWARE, peak_flops={"None": 1e15, "16": 2e15}),
+     "peak_flops key 'None' is not an integer bit width"),
 ])
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, kind, data,
                                                      message):
@@ -254,6 +257,12 @@ def test_integer_beyond_float_range_fails_without_printing_it():
     """An int too long for str() (over 4,300 digits) still gets its message."""
     with pytest.raises(ConfigError, match="got an integer beyond float range"):
         parse_config(dict(HARDWARE, mem_bandwidth=10**5000), "hw.json")
+
+
+def test_peak_key_too_long_for_int_is_not_a_bit_width():
+    """int() refuses a string of over 4,300 digits; the key still gets its message."""
+    with pytest.raises(ConfigError, match="is not an integer bit width"):
+        parse_config(dict(HARDWARE, peak_flops={"1" * 5000: 1e15}), "hw.json")
 
 
 def test_nested_errors_name_the_nested_object(tmp_path):
@@ -321,6 +330,20 @@ def test_hand_built_specs_round_trip(spec, tmp_path):
     reloaded = load_config(path)
     assert reloaded == spec
     assert spec_to_dict(reloaded) == spec_to_dict(spec)
+
+
+@pytest.mark.parametrize("build", [
+    lambda name: ModelSpec(name=name, num_layers=2, d_model=64, num_heads=4, d_ff=128),
+    lambda name: HardwareSpec(name=name, peak_flops={16: 1e15}, mem_bandwidth=1e12,
+                              mem_capacity=1e11),
+    lambda name: WorkloadSpec(name=name, turns=3, prefill_tokens_per_turn=10,
+                              decode_tokens_per_turn=2),
+], ids=["model", "hardware", "workload"])
+def test_constructors_refuse_a_name_holding_a_lone_surrogate(build):
+    """A lone surrogate cannot be encoded as UTF-8, so no spec may hold one."""
+    build("ok")
+    with pytest.raises(ValueError, match="name must be text UTF-8 can encode, got a lone surrogate"):
+        build("bad\ud800")
 
 
 @pytest.mark.parametrize("kind, data, key", [

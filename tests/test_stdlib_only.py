@@ -1,7 +1,10 @@
 """caproof is a pure-stdlib tool: every import in its modules is relative or
-names a standard-library module, and none is left unused."""
+names a standard-library module, none is left unused, and a command loads no
+zip-import machinery."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +47,19 @@ def test_every_import_is_used():
                 continue
             unused += [f"{path.name}: {name}" for name in bound if name not in read]
     assert len(SOURCES) > 1 and not unused, unused
+
+
+def test_start_up_imports_no_zip_machinery(tmp_path):
+    """The catalog is read as the files it is installed as: a whole command,
+    run without site (whose .pth files may preload them), loads neither
+    importlib.resources nor zipfile."""
+    child = ("import sys; from caproof import cli; "
+             "cli.run(['agent-profile', '--model', 'dense-70b', '--hardware', 'b200-node8', "
+             "'--out', sys.argv[1]]); "
+             "print(sorted({'importlib.resources', 'zipfile'} & set(sys.modules)))")
+    src = str(Path(caproof.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-S", "-c", child, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"
+    assert (tmp_path / "agent-profile.csv").exists()

@@ -1,6 +1,8 @@
 """Operational-intensity and capacity-footprint analysis for LLM agent
 inference workloads on a capacity-extended roofline model."""
 
+from types import ModuleType as _Module
+
 from .analysis import (
     BoundClass,
     PhaseAnalysis,
@@ -47,49 +49,6 @@ from .model import (
 from .workload import TurnRecord, TurnTrace, WorkloadSpec, expand, total_tokens
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundClass",
-    "ConfigError",
-    "GQA",
-    "HardwareSpec",
-    "MHA",
-    "MLA",
-    "MoESpec",
-    "ModelSpec",
-    "OperatingPoint",
-    "Phase",
-    "PhaseAnalysis",
-    "PhaseMetrics",
-    "SweepResult",
-    "SweepRow",
-    "TurnRecord",
-    "TurnTrace",
-    "UnknownPrecisionError",
-    "WorkloadSpec",
-    "activated_params",
-    "attainable_flops",
-    "cf_request",
-    "classify",
-    "decode_metrics",
-    "dump_config",
-    "expand",
-    "flops_per_token",
-    "kv_bytes_per_token",
-    "list_catalog",
-    "load_config",
-    "max_feasible_batch",
-    "min_devices",
-    "oi_matmul",
-    "oi_matmul_bytes",
-    "phase_metrics",
-    "prefill_metrics",
-    "resolve_config",
-    "ridge_point",
-    "spec_to_dict",
-    "sweep_grid",
-    "sweep_workload",
-    "total_params",
-    "total_tokens",
-    "weight_bytes",
-]
+# The public API is what the imports above bind: every name but modules and _private ones.
+__all__ = sorted(name for name, value in vars().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

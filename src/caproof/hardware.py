@@ -19,6 +19,8 @@ class UnknownPrecisionError(ValueError):
 
 @dataclass(frozen=True)
 class HardwareSpec:
+    """Identical devices: per device, peak FLOP/s by precision, memory bandwidth and capacity."""
+
     name: str
     peak_flops: Dict[int, float]  # bits -> FLOP/s per device
     mem_bandwidth: float  # bytes/s per device

@@ -17,6 +17,8 @@ from .model import ModelCosts, ModelSpec, Phase, _bound
 
 @dataclass(frozen=True)
 class OperatingPoint:
+    """One point to classify: a context length, a batch size and a phase."""
+
     context_len: int
     batch_size: int
     phase: Phase

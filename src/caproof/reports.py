@@ -87,10 +87,11 @@ class Cells(dict):
     (phase, L) grid column is memoized: its length, FLOP count and feasible
     batch, and the rate and mfu of every row that is not bandwidth-bound. A
     per-row value (oi, cf, bytes, mbu, and a bandwidth-bound row's rate and
-    mfu) would never be hit again, so it is formatted directly. On a grid the
-    memos hold O(columns) cells, not O(rows). Down a workload's point rows a
-    carried context never repeats, so the CSV starts its number memos afresh
-    at each slice of them: they hold at most one slice's cells. One instance
+    mfu) would never be hit again, so it is formatted directly. The CSV starts
+    its number memos afresh when a slice begins a new phase, so on a grid they
+    hold the cells of one phase's columns, not O(rows). Down a workload's point
+    rows a carried context never repeats, so it also starts them afresh at
+    each slice of them: they hold at most one slice's cells. One instance
     holds values of one type, since equal keys share a cell and 1 == 1.0."""
 
     def __init__(self, render: Callable[[object], str]):
@@ -126,16 +127,18 @@ def stream_sweep_csv(out: TextIO) -> Renderer:
     as it is formatted, so the CSV is never held whole: floats with repr, ints
     with str, None as an empty cell, and each distinct kind and workload quoted
     once by the csv module. The cells that repeat down a grid column (see Cells)
-    are formatted once per distinct value (format without a spec is str, and
-    a float's str is its repr); mbu, which is ridge/oi on a compute-bound
-    row, and a bandwidth-bound row's rate and mfu are formatted per row."""
+    are formatted once per distinct value in a phase (format without a spec
+    is str, and a float's str is its repr); mbu, which is ridge/oi on a
+    compute-bound row, and a bandwidth-bound row's rate and mfu are formatted
+    per row. The memos are pure caches of format, so where they start afresh
+    changes no byte."""
     quoted = Cells(_quoted)
-    ints, floats = Cells(format), Cells(format)
-    bandwidth = BoundClass.BANDWIDTH_BOUND
+    bandwidth, memo_phase = BoundClass.BANDWIDTH_BOUND, None
     out.write(",".join(CSV_COLUMNS) + "\n")
     while (rows := (yield)) is not None:
-        if rows and rows[0].turn_index is not None:  # a workload's point rows
-            ints, floats = Cells(format), Cells(format)
+        # a new phase's grid rows, or a workload's point rows
+        if rows and (rows[0].phase is not memo_phase or rows[0].turn_index is not None):
+            ints, floats, memo_phase = Cells(format), Cells(format), rows[0].phase
         out.writelines([
             f"{quoted[kind]},{quoted[workload]},{'' if turn is None else turn},"
             f"{_ENUM_CELLS[phase]},{batch},{ints[length]},{oi!r},{cf!r},{floats[flops]},"

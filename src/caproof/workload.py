@@ -21,6 +21,8 @@ MAX_TURNS = (MAX_SWEEP_ROWS - 2) // 2  # a prefill and a decode row a turn, two 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
+    """An agent workload: turns of prefill and decode tokens, the context carried or not."""
+
     name: str
     turns: int
     prefill_tokens_per_turn: int
@@ -52,6 +54,8 @@ class TurnRecord:
 
 @dataclass(frozen=True)
 class TurnTrace:
+    """A workload's per-turn records, as expand makes them."""
+
     workload: WorkloadSpec
     records: Tuple[TurnRecord, ...]
 

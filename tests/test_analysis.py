@@ -873,8 +873,8 @@ class TestWorkloadStrictVerdict:
 
 
 class TestStreamedGrid:
-    """iter_grid makes sweep_grid's rows a block per (phase, batch), and
-    grid_bounds gives, before the first row is made, what the renderers need
+    """iter_grid makes sweep_grid's rows in blocks of at most 256 rows per
+    (phase, batch), and grid_bounds gives, before the first row is made, what the renderers need
     of them all: the least and greatest OI and whether one is capacity_exceeded."""
 
     PHASES = {"prefill": (Phase.PREFILL,), "decode": (Phase.DECODE,), "both": tuple(Phase)}
@@ -914,6 +914,16 @@ class TestStreamedGrid:
         assert [[(row.phase, row.batch_size, row.context_len) for row in block]
                 for block in blocks] == [[(phase, batch, length) for length in sorted(lengths)]
                                          for phase in Phase for batch in (1, 4, 16)]
+
+    def test_blocks_past_256_columns_are_cut_in_grid_order(self):
+        spec, hw = ref48_spec(), make_hw(2.25e15, 8e12, 192e9)
+        batches, lengths = [8, 2], [1_000 * step for step in range(600, 0, -1)]
+        blocks = list(iter_grid(spec, hw, batches, lengths))
+        assert [len(block) for block in blocks] == [256, 256, 88] * 4
+        assert [row for block in blocks for row in block] == list(
+            sweep_grid(spec, hw, batches, lengths).rows)
+        keys = [{(row.phase, row.batch_size) for row in block} for block in blocks]
+        assert keys == [{(phase, batch)} for phase in Phase for batch in (2, 8) for _ in range(3)]
 
     def test_rows_are_made_a_block_at_a_time(self, monkeypatch):
         """Asking for the first block builds its rows, after the column heads'

@@ -874,8 +874,9 @@ class TestWorkloadStrictVerdict:
 
 class TestStreamedGrid:
     """iter_grid makes sweep_grid's rows in blocks of at most 256 rows per
-    (phase, batch), and grid_bounds gives, before the first row is made, what the renderers need
-    of them all: the least and greatest OI and whether one is capacity_exceeded."""
+    (phase, batch), and grid_bounds gives, before the first row is made, what
+    the renderers need of them all: the least and greatest OI and whether one
+    is capacity_exceeded."""
 
     PHASES = {"prefill": (Phase.PREFILL,), "decode": (Phase.DECODE,), "both": tuple(Phase)}
 

@@ -123,10 +123,10 @@ def traced_peak(argv):
 def test_a_32k_row_grid_in_all_formats_holds_no_sweep(tmp_path):
     """32,000 rows (283 B each held) in all three formats: the pass holds one
     block of at most 256 rows and the CSV's memos of one phase, far below the
-    9 MB the rows alone would take. Run once untraced first, so one-time
-    allocations do not count, the second pass peaks at 0.95-1.0 MB on Python
-    3.10-3.13; with a block per (phase, batch) of all 1,000 L values and the
-    memos of both phases kept it peaked at 1.53-1.59 MB."""
+    9 MB the rows alone would take. The command runs once untraced first, so
+    that one-time allocations do not count. The second pass peaks at 0.95-1.0
+    MB on Python 3.10-3.13; with a block per (phase, batch) of all 1,000 L
+    values and the memos of both phases kept, it peaked at 1.53-1.59 MB."""
     argv = ["sweep", "--model", "dense-70b", "--hardware", "b200-node8",
             "--grid", "B=1..16,L=1000..1000000:log1000", "--out"]
     assert cli.run([*argv, str(tmp_path / "warm")]) == 0

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence
 from . import reports
 from .analysis import BoundClass, grid_bounds, iter_grid, sweep_workload
 from .config import MAX_EXACT_INT, ConfigError, list_catalog, resolve_config
-from .hardware import ridge_point
 from .model import Phase, _bound
 from .workload import MAX_SWEEP_ROWS as MAX_GRID_ROWS
 
@@ -131,13 +130,12 @@ def _flag(flag: str, read, *values):
 
 
 def _model_and_hardware(args):
-    """The one --model and the --hardware, which must rate its weight_bits in range."""
+    """The one --model and the --hardware, which must rate its weight_bits."""
     if len(args.model) != 1:
         raise ConfigError(f"--model: {args.command} takes exactly one, got {len(args.model)}")
     model = resolve_config(args.model[0], "model", args.allow_unknown_keys)
     hw = resolve_config(args.hardware, "hardware", args.allow_unknown_keys)
     _flag(f"{args.model[0]}: key 'weight_bits'", hw.peak_for, model.weight_bits)
-    _flag(args.hardware, ridge_point, hw, model.weight_bits)
     return model, hw
 
 

@@ -28,6 +28,7 @@ class HardwareSpec:
     num_devices: int = 1
 
     def __post_init__(self):
+        """Rates within 1e-100..1e100 keep every ridge a positive float and plot axes finite."""
         _text("name", self.name)
         if not self.peak_flops:
             raise ValueError("peak_flops must have at least one precision entry")
@@ -36,8 +37,10 @@ class HardwareSpec:
                 raise ValueError(
                     f"peak_flops precision must be one of {VALID_ELEMENT_BITS}, got {bits}"
                 )
-            _bound(f"peak_flops[{bits}]", rate, "> 0")
-        _bound("mem_bandwidth", self.mem_bandwidth, "> 0")
+            _bound(f"peak_flops[{bits}]", rate, ">= 1e-100")
+            _bound(f"peak_flops[{bits}]", rate, "<= 1e100")
+        _bound("mem_bandwidth", self.mem_bandwidth, ">= 1e-100")
+        _bound("mem_bandwidth", self.mem_bandwidth, "<= 1e100")
         _bound("mem_capacity", self.mem_capacity, ">= 1 byte")
         _bound("mem_capacity", self.mem_capacity, "<= 1e100")
         _bound("num_devices", self.num_devices, ">= 1")
@@ -54,15 +57,8 @@ class HardwareSpec:
 
 
 def ridge_point(hw: HardwareSpec, bits: int) -> float:
-    """Operational intensity at which the roofline arms meet, per device. Peak and
-    bandwidth must each lie within 1e-100..1e100: the ridge is then a positive float,
-    and the roofline's axes, 4x past the ridge and the peak in whole decades, stay finite."""
-    peak, bandwidth = hw.peak_for(bits), hw.mem_bandwidth
-    if not (1e-100 <= peak <= 1e100 and 1e-100 <= bandwidth <= 1e100):  # once per classify or sweep
-        for name, rate in ((f"peak_flops[{bits}]", peak), ("mem_bandwidth", bandwidth)):
-            _bound(name, rate, ">= 1e-100")
-            _bound(name, rate, "<= 1e100")
-    return peak / bandwidth
+    """Operational intensity at which the roofline arms meet, per device."""
+    return hw.peak_for(bits) / hw.mem_bandwidth
 
 
 def attainable_flops(hw: HardwareSpec, bits: int, oi: float) -> float:

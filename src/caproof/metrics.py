@@ -81,6 +81,15 @@ def cf_request(spec: ModelSpec, point: OperatingPoint) -> float:
     return _metrics(spec.costs, point.phase, point.context_len, point.batch_size, False)[1]
 
 
+def _one_phase(phase: Phase, spec: ModelSpec, point: OperatingPoint,
+               include_activations: bool) -> PhaseMetrics:
+    """The body of decode_metrics and prefill_metrics: the metrics of a point in phase."""
+    if point.phase is not phase:
+        raise ValueError(f"{phase.value}_metrics requires a {phase.name} point, got {point.phase}")
+    return PhaseMetrics(*_metrics(spec.costs, phase, point.context_len, point.batch_size,
+                                  include_activations))
+
+
 def decode_metrics(
     spec: ModelSpec, point: OperatingPoint, include_activations: bool = False
 ) -> PhaseMetrics:
@@ -92,10 +101,7 @@ def decode_metrics(
     ModelCosts.act_bytes sensitivity term to either phase (by default
     activations are assumed to stay in on-chip SRAM).
     """
-    if point.phase is not Phase.DECODE:
-        raise ValueError(f"decode_metrics requires a DECODE point, got {point.phase}")
-    return PhaseMetrics(*_metrics(spec.costs, Phase.DECODE, point.context_len,
-                                  point.batch_size, include_activations))
+    return _one_phase(Phase.DECODE, spec, point, include_activations)
 
 
 def prefill_metrics(
@@ -107,10 +113,7 @@ def prefill_metrics(
     writes its KV entry; the attention-score FLOPs integrate over positions
     1..L, giving 2 * layers * heads * head_dim * (L + 1) per token on average.
     """
-    if point.phase is not Phase.PREFILL:
-        raise ValueError(f"prefill_metrics requires a PREFILL point, got {point.phase}")
-    return PhaseMetrics(*_metrics(spec.costs, Phase.PREFILL, point.context_len,
-                                  point.batch_size, include_activations))
+    return _one_phase(Phase.PREFILL, spec, point, include_activations)
 
 
 def phase_metrics(

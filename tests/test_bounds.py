@@ -1,5 +1,5 @@
 """Every single-value input bound of the spec constructors, OperatingPoint and
-the four bounded free functions, one row each.
+the three bounded free functions, one row each.
 
 Each row builds the object with one value changed and gives the value the
 bound admits last, the value it rejects first and the exact ValueError text
@@ -11,7 +11,7 @@ import math
 import pytest
 
 from caproof.analysis import classify, max_feasible_batch
-from caproof.hardware import HardwareSpec, attainable_flops, ridge_point
+from caproof.hardware import HardwareSpec, attainable_flops
 from caproof.metrics import OperatingPoint
 from caproof.model import GQA, MLA, MoESpec, ModelSpec, Phase, flops_per_token
 from caproof.workload import MAX_TURNS, WorkloadSpec
@@ -52,9 +52,10 @@ ROWS = [
     (lambda v: model(head_dim=v), 1, 0, "head_dim must be > 0, got 0"),
     (lambda v: model(d_ff=v), 1, 0, "d_ff must be > 0, got 0"),
     (lambda v: model(vocab_size=v), 0, -1, "vocab_size must be >= 0, got -1"),
-    (lambda v: hardware(peak_flops={8: 2e15, 16: v}), 5e-324, 0.0,
-     "peak_flops[16] must be > 0, got 0.0"),
-    (lambda v: hardware(mem_bandwidth=v), 5e-324, 0.0, "mem_bandwidth must be > 0, got 0.0"),
+    (lambda v: hardware(peak_flops={8: 2e15, 16: v}), 1e-100, math.nextafter(1e-100, 0.0),
+     "peak_flops[16] must be >= 1e-100, got 9.999999999999999e-101"),
+    (lambda v: hardware(mem_bandwidth=v), 1e-100, math.nextafter(1e-100, 0.0),
+     "mem_bandwidth must be >= 1e-100, got 9.999999999999999e-101"),
     (lambda v: hardware(mem_capacity=v), 1.0, math.nextafter(1.0, 0.0),
      "mem_capacity must be >= 1 byte, got 0.9999999999999999"),
     (lambda v: hardware(num_devices=v), 1, 0, "num_devices must be >= 1, got 0"),
@@ -75,18 +76,14 @@ ROWS = [
 # The turns cap; NaN and inf meet the field's lower bound first.
 TURNS_CAP = (lambda v: workload(turns=v), MAX_TURNS, MAX_TURNS + 1,
              f"turns must be <= {MAX_TURNS}, got {MAX_TURNS + 1}")
-# The rates a ridge is taken from, bounded on both sides where the precision
-# meets the bandwidth; NaN and inf meet the HardwareSpec bound first.
-ABOVE, BELOW = math.nextafter(1e100, math.inf), math.nextafter(1e-100, 0.0)
+# The rate caps, under which every ridge is a float; NaN and inf meet the
+# rate's lower bound first.
+ABOVE = math.nextafter(1e100, math.inf)
 RATE_ROWS = [
-    (lambda v: ridge_point(hardware(peak_flops={8: 2e15, 16: v}), 16), 1e100, ABOVE,
+    (lambda v: hardware(peak_flops={8: 2e15, 16: v}), 1e100, ABOVE,
      "peak_flops[16] must be <= 1e100, got 1.0000000000000002e+100"),
-    (lambda v: ridge_point(hardware(peak_flops={8: 2e15, 16: v}), 16), 1e-100, BELOW,
-     "peak_flops[16] must be >= 1e-100, got 9.999999999999999e-101"),
-    (lambda v: ridge_point(hardware(mem_bandwidth=v), 16), 1e100, ABOVE,
+    (lambda v: hardware(mem_bandwidth=v), 1e100, ABOVE,
      "mem_bandwidth must be <= 1e100, got 1.0000000000000002e+100"),
-    (lambda v: ridge_point(hardware(mem_bandwidth=v), 16), 1e-100, BELOW,
-     "mem_bandwidth must be >= 1e-100, got 9.999999999999999e-101"),
 ]
 IDS = [f"{i}-" + message.split(" must ")[0] for i, (*_, message) in enumerate(ROWS)]
 RATE_IDS = [f"ridge-{message.split()[0]}-{message.split()[3]}" for *_, message in RATE_ROWS]

@@ -690,10 +690,14 @@ class TestInputBounds:
         ({"mem_bandwidth": 1e-293}, "mem_bandwidth must be >= 1e-100, got 1e-293"),
         ({"peak_flops": {"16": 1e-300}, "mem_bandwidth": 1e300},
          "peak_flops[16] must be >= 1e-100, got 1e-300"),
-    ], ids=["peak-axis-overflow", "peak-overflow", "ridge-overflow", "ridge-underflow"])
+        ({"peak_flops": {"4": 9.0e15, "8": 1e101, "16": 2.25e15}},
+         "peak_flops[8] must be <= 1e100, got 1e+101"),
+    ], ids=["peak-axis-overflow", "peak-overflow", "ridge-overflow", "ridge-underflow",
+            "unused-precision-overflow"])
     def test_extreme_finite_rates_name_file_and_key(self, command, changes, message, tmp_path,
                                                     capsys, monkeypatch):
-        """Finite rates whose ridge or roofline axes leave float range."""
+        """Finite rates whose ridge or roofline axes leave float range, at any precision:
+        the 16-bit model never reads the 8-bit rate."""
         data = json.loads((Path(caproof.__file__).parent / "catalog" / "hardware"
                            / "b200-sxm.json").read_text())
         path = tmp_path / "extreme.json"

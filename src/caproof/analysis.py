@@ -208,10 +208,10 @@ class SweepResult:
     rows: Tuple[SweepRow, ...]
 
 
-# The most rows in one iter_grid block. A warm 128k-row grid pass (1,000 L values) peaks
-# at the least traced heap with 256: 1.00 MB, against 1.37 MB uncut, 1.13 MB at 512 and
-# 1.04 MB at 128 (Python 3.11).
-_GRID_BLOCK = 256
+# The most rows in a block of iter_grid, or of _workload_rows (half as many turns). Traced heap
+# of a warm 128k-row grid pass (1,000 L values): 1.00 MB, against 1.37 uncut, 1.13 at 512 and 1.04
+# at 128; RSS of a 100,000-turn workload sweep: 16.2 MB, against 18.6 at 1,024 turns (3.11).
+_BLOCK_ROWS = 256
 
 
 def iter_grid(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],
@@ -221,7 +221,7 @@ def iter_grid(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],
     """One SweepRow per (phase, batch, context) grid point, in phase ->
     batch -> context order, its metrics and verdict equal to classify's at
     that point, made a block at a time: per (phase, batch), lists of at most
-    _GRID_BLOCK rows, a row per L.
+    _BLOCK_ROWS rows, a row per L.
 
     classify runs once per (phase, L) column, at the smallest batch: whether
     one request fits and whether some per-device-feasible batch reaches the
@@ -242,8 +242,8 @@ def iter_grid(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],
                             include_activations, replicate_weights)
             columns.append(_column(spec, hw, length, head.metrics.flops_per_token, head[1:5],
                                    replicate_weights))
-        chunks = [columns[first:first + _GRID_BLOCK]
-                  for first in range(0, len(columns), _GRID_BLOCK)]
+        chunks = [columns[first:first + _BLOCK_ROWS]
+                  for first in range(0, len(columns), _BLOCK_ROWS)]
         for batch in batches:
             for chunk in chunks:
                 yield _block(spec, hw, ridge, phase, batch, chunk, include_activations,
@@ -278,17 +278,17 @@ def grid_bounds(spec: ModelSpec, hw: HardwareSpec, batch_sizes: Sequence[int],
 
 def _workload_rows(spec: ModelSpec, hw: HardwareSpec, workload: WorkloadSpec,
                    turns: Sequence[int], *flags: bool) -> Iterator[List[SweepRow]]:
-    """The point rows of the given turns, a block per 1,024: a _block per phase with tokens,
-    interleaved by turn. Then a block of a workload_total row per phase at the final context.
-    Each column is _point's, from the trace's closed form; the ridge is read once."""
+    """The point rows of the given turns, a block per _BLOCK_ROWS // 2: a _block per phase with
+    tokens, interleaved by turn. Then a block of a workload_total row per phase at the final
+    context. Each column is _point's, from the trace's closed form; the ridge is read once."""
     prefill, decode = workload.prefill_tokens_per_turn, workload.decode_tokens_per_turn
     if (final := _context(workload, workload.turns - 1) + prefill + decode) < 1:
         raise ValueError(f"workload '{workload.name}' expands to zero tokens")
     batch, ridge, name = workload.batch_size, ridge_point(hw, spec.weight_bits), workload.name
     ends = [(phase, end) for phase, tokens, end in zip(Phase, (prefill, decode),
                                                        (prefill, prefill + decode)) if tokens]
-    for first in range(0, len(turns), 1_024):
-        chunk = list(turns[first:first + 1_024])  # one int a turn, which its rows share
+    for first in range(0, len(turns), _BLOCK_ROWS // 2):
+        chunk = list(turns[first:first + _BLOCK_ROWS // 2])  # one int a turn, shared by its rows
         blocks = [_block(spec, hw, ridge, phase, batch, [_point(
             spec, hw, ridge, phase, _context(workload, turn) + end, *flags, ("point", name, turn))
             for turn in chunk], *flags) for phase, end in ends]

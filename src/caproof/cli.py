@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from . import reports
-from .analysis import BoundClass, grid_bounds, iter_grid, sweep_workload
+from .analysis import BoundClass, _workload_rows, grid_bounds, iter_grid
 from .config import MAX_EXACT_INT, ConfigError, list_catalog, resolve_config
 from .model import Phase, _bound
 from .workload import MAX_SWEEP_ROWS as MAX_GRID_ROWS
@@ -179,7 +179,7 @@ def _sweep_command(args) -> reports.Report:
     grid: the report of analyze, sweep and roofline-plot. The flags the command
     has pick the points: --workload, else sweep's --grid, else --batch and
     --context. Every flag is checked, and the grid's rows counted, before the
-    configs are resolved. A workload sweep is held; its totals rows give --strict."""
+    configs are resolved. Either sweep streams, its OI range and --strict verdict in closed form."""
     workload_ref, grid = getattr(args, "workload", None), getattr(args, "grid", None)
     if workload_ref is not None:
         for flag in ("grid", "phase", "batch", "context"):  # errors even when set to their default
@@ -205,10 +205,12 @@ def _sweep_command(args) -> reports.Report:
     flags = (args.include_activations, args.replicate_weights)
     if workload_ref is not None:
         workload = resolve_config(workload_ref, "workload", args.allow_unknown_keys)
-        rows = _flag(workload_ref, sweep_workload, model, hw, workload, *flags).rows
-        blocks = (rows,)  # held, as sweep_workload returns it; stream slices it
-        oi_lo, oi_hi = min(row.oi for row in rows), max(row.oi for row in rows)
-        exceeded = rows[-1].bound_class is BoundClass.CAPACITY_EXCEEDED
+        # A phase's OI is monotone in L, which runs from turn 0's to the totals' final L; a
+        # row fits by its L alone, so the last (DECODE) totals row decides --strict
+        ends = _flag(workload_ref, list, _workload_rows(model, hw, workload, (0,), *flags))
+        oi_lo, *_, oi_hi = sorted(row.oi for block in ends for row in block)
+        exceeded = ends[-1][-1].bound_class is BoundClass.CAPACITY_EXCEEDED
+        blocks = _workload_rows(model, hw, workload, range(workload.turns), *flags)
     else:  # made a block at a time as it is written
         blocks = iter_grid(model, hw, batches, contexts, phases, *flags)
         oi_lo, oi_hi, exceeded = grid_bounds(model, hw, batches, contexts, phases, flags[0])

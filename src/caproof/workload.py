@@ -14,7 +14,7 @@ from typing import Tuple
 from .model import _bound, _text
 
 # Rows one sweep may have. Held, by tracemalloc on 3.11, a sweep_grid row is 283 B (128k grid) and
-# a sweep_workload row 345-374 B (100,000 turns): 567 and 690-748 MB. The CLI streams grids.
+# a sweep_workload row 345-374 B (100,000 turns): 567 and 690-748 MB. The CLI streams both.
 MAX_SWEEP_ROWS = 2_000_000
 MAX_TURNS = (MAX_SWEEP_ROWS - 2) // 2  # a prefill and a decode row a turn, two totals
 

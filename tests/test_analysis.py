@@ -703,14 +703,14 @@ class TestWorkloadPointPath:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_rows_equal_classify_across_a_block_boundary(self, kind, include_activations,
                                                          replicate_weights):
-        """1,025 turns: the 1,025th is the first of the second 1,024-turn block."""
+        """129 turns: the 129th is the first of the second 128-turn block."""
         rng = random.Random(f"boundary-{kind}-{include_activations}-{replicate_weights}")
         flags = (include_activations, replicate_weights)
         carry, prefill, decode = self.KINDS[kind]
         seen = set()
         for _ in range(6):
             spec = random_model(rng)
-            workload = WorkloadSpec("w", turns=1_025,
+            workload = WorkloadSpec("w", turns=129,
                                     prefill_tokens_per_turn=rng.randint(*prefill),
                                     decode_tokens_per_turn=rng.randint(*decode),
                                     carry_context=carry, batch_size=rng.randint(1, 64))
@@ -718,14 +718,14 @@ class TestWorkloadPointPath:
                                                              workload.decode_tokens_per_turn))
                       if tokens]
             step = workload.prefill_tokens_per_turn + workload.decode_tokens_per_turn
-            last = OperatingPoint((1_024 if carry else 0) * step + step, workload.batch_size,
+            last = OperatingPoint((128 if carry else 0) * step + step, workload.batch_size,
                                   phases[-1])  # the second block's row
             hw = boundary_hardware(rng, spec, last, include_activations)
-            blocks = list(analysis._workload_rows(spec, hw, workload, range(1_025), *flags))
-            assert list(map(len, blocks)) == [1_024 * len(phases), len(phases), 2]
+            blocks = list(analysis._workload_rows(spec, hw, workload, range(129), *flags))
+            assert list(map(len, blocks)) == [128 * len(phases), len(phases), 2]
             rows = [row for block in blocks for row in block]
             assert [(row.row_kind, row.turn_index, row.phase) for row in rows] == [
-                ("point", turn, phase) for turn in range(1_025) for phase in phases] + [
+                ("point", turn, phase) for turn in range(129) for phase in phases] + [
                 ("workload_total", None, phase) for phase in Phase]
             for row in rows:
                 point = OperatingPoint(row.context_len, row.batch_size, row.phase)
@@ -788,8 +788,8 @@ class TestWorkloadClosedForm:
 
 class TestWorkloadBlocks:
     """_workload_rows makes a workload sweep's rows a block at a time, as
-    iter_grid does a grid's: a block of at most 2,048 point rows per 1,024
-    turns, then the two totals rows."""
+    iter_grid does a grid's, in blocks of the same size: at most 256 point rows
+    per 128 turns, then the two totals rows. The CLI streams these blocks."""
 
     WORKLOAD = WorkloadSpec("w", turns=2_500, prefill_tokens_per_turn=4_000,
                             decode_tokens_per_turn=500, batch_size=4)
@@ -801,14 +801,14 @@ class TestWorkloadBlocks:
 
     def test_blocks_chain_to_the_held_rows(self):
         blocks = list(self.blocks())
-        assert list(map(len, blocks)) == [2_048, 2_048, 904, 2]
+        assert list(map(len, blocks)) == [256] * 19 + [136, 2]
         assert all(isinstance(block, list) for block in blocks)
         assert [row for block in blocks for row in block] == list(sweep_workload(
             ref48_spec(), resolve_config("b200-node8", "hardware"), self.WORKLOAD, False,
             True).rows)
 
     def test_rows_are_made_a_block_at_a_time(self, monkeypatch):
-        """Asking for the first block builds its rows, of the first 1,024
+        """Asking for the first block builds its rows, of the first 128
         turns, and none of the later turns' rows."""
         built = []
 
@@ -819,9 +819,9 @@ class TestWorkloadBlocks:
         monkeypatch.setattr(analysis, "SweepRow", counting)
         blocks = self.blocks()
         assert built == []
-        assert len(next(blocks)) == 2_048
-        assert sorted(built) == [turn for turn in range(1_024) for _ in Phase]
-        assert list(map(len, blocks)) == [2_048, 904, 2]
+        assert len(next(blocks)) == 256
+        assert sorted(built) == [turn for turn in range(128) for _ in Phase]
+        assert list(map(len, blocks)) == [256] * 18 + [136, 2]
         assert len(built) == 2 * 2_500 + 2
 
 

@@ -1,11 +1,14 @@
-"""The CLI writes a grid sweep's artifacts in one streamed pass: its files
-equal the renderers run over the held sweep_grid, byte for byte, in every
-command, format subset and flag combination, and the pass holds one block of
-rows, not the sweep. stream sends no renderer more than 2,048 rows at once."""
+"""The CLI writes a sweep's artifacts in one streamed pass: its files equal
+the renderers run over the held sweep_grid or sweep_workload, byte for byte,
+in every command, format subset and flag combination, and the pass holds one
+block of rows, not the sweep. stream sends no renderer more than 2,048 rows at
+once, and a CLI sweep's blocks hold at most 256."""
 
 import dataclasses
 import io
 import itertools
+import json
+import random
 import sys
 import tracemalloc
 
@@ -13,7 +16,7 @@ import pytest
 
 from caproof import cli, reports
 from caproof.analysis import BoundClass, iter_grid, sweep_grid, sweep_workload
-from caproof.config import resolve_config
+from caproof.config import parse_config, resolve_config
 from caproof.model import Phase
 
 PHASES = {"prefill": (Phase.PREFILL,), "decode": (Phase.DECODE,), "both": tuple(Phase)}
@@ -50,18 +53,24 @@ def held_rows(command, grid, phases, flags=(False, False)):
     return model, hw, sweep_grid(model, hw, *grid_points(grid), PHASES[phases], *flags)
 
 
-def held_artifacts(command, grid, phases, flags):
-    """Each format's bytes from sweep_csv, sweep_text and roofline_svg over
-    the materialised sweep_grid, and whether a row is capacity_exceeded."""
-    model, hw, result = held_rows(command, grid, phases, flags)
+def held_renders(model, hw, result):
+    """Each format's bytes from sweep_csv, sweep_text and roofline_svg over a
+    materialised sweep_grid or sweep_workload result."""
     rendered = {"csv": reports.sweep_csv(result).encode()}
     for fmt, render in (("text", reports.sweep_text),
                         ("svg", lambda result, out: reports.roofline_svg(model, hw, result, out))):
         buf = io.StringIO()
         render(result, buf)
         rendered[fmt] = buf.getvalue().encode()
+    return rendered
+
+
+def held_artifacts(command, grid, phases, flags):
+    """held_renders over the materialised sweep_grid, and whether a row is
+    capacity_exceeded."""
+    model, hw, result = held_rows(command, grid, phases, flags)
     exceeded = any(row.bound_class is BoundClass.CAPACITY_EXCEEDED for row in result.rows)
-    return rendered, exceeded
+    return held_renders(model, hw, result), exceeded
 
 
 def run_command(command, grid, phases, flags, formats, out):
@@ -108,6 +117,83 @@ def test_each_format_subset_writes_only_its_formats(command, formats, tmp_path):
         f"{command}.{EXTENSIONS[fmt]}" for fmt in formats)
     for fmt in formats:
         assert (tmp_path / f"{command}.{EXTENSIONS[fmt]}").read_bytes() == expected[fmt], fmt
+
+
+WORKLOAD_MODELS = ["dense-70b", "gqa8-48x2048", "mha-48x2048", "mla-48x2048", "moe-256e"]
+WORKLOAD_SEEDS = range(30)
+
+
+def workload_case(seed):
+    """A random workload sweep: (command, model, hardware, flags, workload JSON).
+    The context is carried or not, the turns are one, a few or hundreds, a turn
+    may have no prefill or no decode tokens, and the batch may be above 1."""
+    rng = random.Random(f"workload-{seed}")
+    prefill, decode = rng.choice([(0, rng.randint(1, 2_000)), (rng.randint(1, 20_000), 0),
+                                  (rng.randint(1, 20_000), rng.randint(1, 2_000))])
+    workload = {"type": "workload", "name": f"w{seed}",
+                "turns": rng.choice([1, rng.randint(2, 40), rng.randint(300, 600)]),
+                "prefill_tokens_per_turn": prefill, "decode_tokens_per_turn": decode,
+                "carry_context": rng.random() < 0.5,
+                "batch_size": rng.choice([1, rng.randint(2, 64)])}
+    return (rng.choice(["sweep", "roofline-plot"]), rng.choice(WORKLOAD_MODELS),
+            rng.choice(["b200-sxm", "b200-node8"]), (rng.random() < 0.5, rng.random() < 0.5),
+            workload)
+
+
+def held_workload(case):
+    """The case's model, hardware and held sweep_workload."""
+    _, model, hardware, flags, workload = case
+    model = resolve_config(model, "model")
+    hw = resolve_config(hardware, "hardware")
+    return model, hw, sweep_workload(model, hw, parse_config(workload, "w.json"), *flags)
+
+
+@pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
+def test_streamed_workload_artifacts_equal_the_held_renderers(seed, tmp_path, monkeypatch):
+    """The CLI's workload sweep streams its blocks and takes the SVG's OI range
+    and the --strict verdict in closed form: its files equal the renderers run
+    over the held sweep_workload, its OI range is the rows' least and greatest
+    OI, and it exits 3 exactly when the last row is capacity_exceeded."""
+    case = workload_case(seed)
+    command, _, _, flags, workload = case
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps(workload))
+    model, hw, result = held_workload(case)
+    ranges, original = [], reports.stream_roofline_svg
+
+    def recording(model, hw, oi_range, out):
+        ranges.append(oi_range)
+        return original(model, hw, oi_range, out)
+
+    monkeypatch.setattr(reports, "stream_roofline_svg", recording)
+    code = cli.run([command, "--model", model.name, "--hardware", hw.name,
+                    "--workload", str(path), "--out", str(tmp_path / "out"), "--strict",
+                    *(["--include-activations"] if flags[0] else []),
+                    *(["--replicate-weights"] if flags[1] else [])])
+    exceeded = result.rows[-1].bound_class is BoundClass.CAPACITY_EXCEEDED
+    assert code == (cli.EXIT_INFEASIBLE if exceeded else cli.EXIT_OK)
+    ois = [row.oi for row in result.rows]
+    assert ranges == [(min(ois), max(ois))]
+    expected = held_renders(model, hw, result)
+    for fmt in FORMATS:
+        assert (tmp_path / "out" / f"{command}.{EXTENSIONS[fmt]}").read_bytes() == expected[fmt]
+
+
+def test_the_workloads_cover_every_shape_and_both_exits():
+    """The random workloads above are not all of one kind."""
+    cases = [workload_case(seed) for seed in WORKLOAD_SEEDS]
+    workloads = [case[4] for case in cases]
+    assert {w["carry_context"] for w in workloads} == {False, True}
+    assert {w["turns"] == 1 for w in workloads} == {False, True}
+    assert any(w["turns"] >= 300 for w in workloads)
+    assert any(w["batch_size"] > 1 for w in workloads)
+    assert {(w["prefill_tokens_per_turn"] > 0, w["decode_tokens_per_turn"] > 0)
+            for w in workloads} == {(False, True), (True, False), (True, True)}
+    assert {case[0] for case in cases} == {"sweep", "roofline-plot"}
+    assert {case[3] for case in cases} == set(itertools.product([False, True], repeat=2))
+    exits = {held_workload(case)[2].rows[-1].bound_class is BoundClass.CAPACITY_EXCEEDED
+             for case in cases}
+    assert exits == {False, True}
 
 
 def traced_peak(argv):
@@ -159,22 +245,23 @@ def test_memory_does_not_grow_with_the_batch_axis(grid, tmp_path):
 
 
 def test_a_20k_turn_workload_sweep_stays_bounded(tmp_path):
-    """A workload sweep holds its rows (two per turn plus the totals), not
-    streamed like a grid, but each renderer formats at most 2,048 of them at
-    once, and only the CSV memoizes cells, none kept past a slice of point
-    rows: 20,000 turns of 2,000 prefill and 200 decode tokens peak at
-    15.3-16.2 MB on Python 3.10-3.13. With memos that grew with every row
-    they peaked at 25.3-26.1 MB (22.1-22.6 MB when only the CSV kept them),
-    and near 32 MB when the whole sweep also went to each renderer as one
-    block. The bound catches a held path or a memo that grows."""
+    """A workload sweep streams like a grid: 20,000 turns of 2,000 prefill and
+    200 decode tokens (40,002 rows, 345-374 B each held) in all formats hold
+    one block of at most 256 rows and the CSV memos of one slice, under the
+    grid guard's bound. The command runs once untraced first, so that
+    one-time allocations do not count. The second pass peaks at 0.51-0.57 MB
+    on Python 3.10-3.13; with the sweep held whole, as sweep_workload holds
+    it, it peaked at 14.6-14.8 MB. The bound catches a held path or a memo
+    that grows."""
     workload = tmp_path / "long.json"
     workload.write_text('{"type": "workload", "name": "long", "turns": 20000, '
                         '"prefill_tokens_per_turn": 2000, "decode_tokens_per_turn": 200}')
-    out = tmp_path / "out"
-    peak = traced_peak(["sweep", "--model", "dense-70b", "--hardware", "b200-node8",
-                        "--workload", str(workload), "--out", str(out)])
-    assert (out / "sweep.csv").read_text().count("\n") == 40_003
-    assert peak < 20_000_000, peak
+    argv = ["sweep", "--model", "dense-70b", "--hardware", "b200-node8",
+            "--workload", str(workload), "--out"]
+    assert cli.run([*argv, str(tmp_path / "warm")]) == 0
+    peak = traced_peak([*argv, str(tmp_path / "out")])
+    assert (tmp_path / "out" / "sweep.csv").read_text().count("\n") == 40_003
+    assert peak < 1_250_000, peak
 
 
 def recorded(renderer, sizes):
@@ -230,9 +317,10 @@ def test_an_empty_block_sends_and_writes_nothing():
     assert empty.getvalue() == nothing.getvalue()
 
 
-def test_a_3000_turn_workload_sweep_sends_at_most_2048_rows(tmp_path, monkeypatch):
-    """The CLI holds a workload sweep's 6,002 rows as one block, and stream
-    sends each renderer them 2,048 at a time."""
+def test_a_3000_turn_workload_sweep_sends_at_most_256_rows(tmp_path, monkeypatch):
+    """The CLI streams a workload sweep's 6,002 rows in blocks of 128 turns,
+    so stream sends each renderer 23 blocks of 256 rows, the last 56 turns'
+    112 rows, and the two totals rows, and no send exceeds 256 rows."""
     original, sizes = reports.stream, []
 
     def recording(renderers, blocks):
@@ -244,7 +332,7 @@ def test_a_3000_turn_workload_sweep_sends_at_most_2048_rows(tmp_path, monkeypatc
                         '"prefill_tokens_per_turn": 2000, "decode_tokens_per_turn": 200}')
     assert cli.run(["sweep", "--model", "dense-70b", "--hardware", "b200-node8",
                     "--workload", str(workload), "--out", str(tmp_path / "out")]) == 0
-    assert sorted(sizes) == sorted([2_048, 2_048, 1_906] * 3)
+    assert sorted(sizes) == sorted(([256] * 23 + [112, 2]) * 3)
     assert (tmp_path / "out" / "sweep.csv").read_text().count("\n") == 6_003
 
 

@@ -54,8 +54,6 @@ def test_traced_run_exits_0(argv, tmp_path):
     spans = stats["spans"]
     if argv[0] == "analyze":
         assert spans["analysis.classify"][0] >= 1
-    if argv[0] == "sweep":
-        assert spans["analysis.sweep"][0] >= 1
     if argv[0] in ("compare-attention", "compare-moe", "agent-profile"):
         # a chart command's rows, CSV and SVG builders, called by their bound names
         for span in ("reports.rows", "reports.csv", "reports.chart"):

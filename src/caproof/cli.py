@@ -39,6 +39,10 @@ EXIT_INFEASIBLE = 3
 
 _SUFFIXES = {"k": 1_000, "m": 1_000_000, "g": 1_000_000_000}
 MAX_RANGE_POINTS = 100_000
+# The fewest rows two processes write, in all formats (_write_artifacts). Forked against one on
+# 2 vCPUs, grids won 4 of 50 pairs at 2,000-8,000 rows, 24 of 54 at 16,000-24,000, 28 of 42 at
+# 32,000 and 52 of 64 at 40,000-64,000; workloads won 4 of 10 at 20,002 rows, 8 of 10 at 32,770.
+_FORK_ROWS = 32_768
 
 
 def parse_scalar(token: str) -> int:
@@ -211,6 +215,7 @@ def _sweep_command(args) -> reports.Report:
         oi_lo, *_, oi_hi = sorted(row.oi for block in ends for row in block)
         exceeded = ends[-1][-1].bound_class is BoundClass.CAPACITY_EXCEEDED
         blocks = _workload_rows(model, hw, workload, range(workload.turns), *flags)
+        rows = len(ends[0]) * workload.turns + 2  # the point rows of a turn, then the totals
     else:  # made a block at a time as it is written
         blocks = iter_grid(model, hw, batches, contexts, phases, *flags)
         oi_lo, oi_hi, exceeded = grid_bounds(model, hw, batches, contexts, phases, flags[0])
@@ -218,7 +223,7 @@ def _sweep_command(args) -> reports.Report:
         csv=reports.stream_sweep_csv,
         text=partial(reports.stream_sweep_text, model.name, hw.name),
         svg=partial(reports.stream_roofline_svg, model, hw, (oi_lo, oi_hi)),
-        blocks=blocks, exceeded=exceeded)
+        blocks=blocks, rows=rows, exceeded=exceeded)
 
 
 def _context_axis(text: str) -> List[int]:
@@ -353,11 +358,14 @@ def _artifact_paths(out_dir: str, command: str, formats: Sequence[str]) -> Dict[
 def _write_artifacts(paths: Dict[str, Path], report: reports.Report) -> List[Path]:
     """Open every format's artifact path at once, with a 64 KiB buffer for the
     line-at-a-time writes, and stream the report's blocks to one renderer per
-    file, so a grid's rows are made and rendered in one pass, a block held at
-    a time. A renderer that raises removes every artifact of this run, since
-    all are partial. A path that still cannot be opened does too, and is a
-    ConfigError naming --out."""
-    written, renderers = [], []
+    file, a block held at a time. At _FORK_ROWS rows or more in all three
+    formats, given two CPUs and one thread, it forks: the child writes the text
+    and SVG, making the rows from its copy of the unstarted blocks, and is
+    reaped before this returns or raises (stopped first if this raises). A
+    renderer that raises, in either process, removes every artifact of this
+    run, since all are partial. A path that still cannot be opened does too,
+    and is a ConfigError naming --out."""
+    written, renderers, pid = [], [], None
     try:
         with contextlib.ExitStack() as files:
             for fmt, path in paths.items():
@@ -368,7 +376,35 @@ def _write_artifacts(paths: Dict[str, Path], report: reports.Report) -> List[Pat
                     raise ConfigError(f"--out: {exc.strerror}: '{exc.filename}'") from None
                 written.append(path)
                 renderers.append(getattr(report, fmt)(out))
-            reports.stream(renderers, report.blocks)
+            if (report.rows >= _FORK_ROWS and len(renderers) == 3
+                    and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
+                import signal, threading  # here, so that a command that never forks loads neither
+                parent = os.getpid()
+                with contextlib.suppress(OSError):  # no process to spare: all are written here
+                    pid = os.fork() if threading.active_count() == 1 else None
+                if pid == 0:  # the child: os._exit runs no atexit handler and flushes no stdio
+                    try:  # an orphan, its parent gone, exits at its next block
+                        reports.stream(renderers[1:], (block for block in report.blocks
+                                                       if os.getppid() == parent or os._exit(1)))
+                        files.close()
+                        os._exit(0)
+                    except BaseException as exc:  # reported here, since the child never returns
+                        os.write(2, f"error: {exc!r}\n".encode())
+                    finally:
+                        os._exit(1)
+                if pid:
+                    del renderers[1:]
+            try:
+                reports.stream(renderers, report.blocks)
+            except BaseException:
+                if pid:  # its artifacts are removed with these, so it need not finish them
+                    os.kill(pid, signal.SIGTERM)
+                raise
+            finally:
+                status = os.waitpid(pid, 0)[1] if pid else 0
+            if status:
+                raise ChildProcessError(f"the child writing {', '.join(list(paths)[1:])} exited "
+                                        f"with {os.waitstatus_to_exitcode(status)}")
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

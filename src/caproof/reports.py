@@ -44,20 +44,23 @@ class Report:
     """One command's artifacts: per format, a function of the open file that
     returns the format's renderer (a chart command's come from chart), so only
     the formats asked for are rendered, and the blocks of rows stream sends to
-    them. `exceeded` is set when an analyzed point is capacity_exceeded (--strict)."""
+    them, `rows` in all (0 for a chart), which a fork copies unstarted.
+    `exceeded` is set when an analyzed point is capacity_exceeded (--strict)."""
 
     csv: Callable[[TextIO], Renderer]
     text: Callable[[TextIO], Renderer]
     svg: Callable[[TextIO], Renderer]
     blocks: Iterable[Sequence[SweepRow]] = ()
+    rows: int = 0
     exceeded: bool = False
 
 
 def stream(renderers: Sequence[Renderer], blocks: Iterable[Sequence[SweepRow]]) -> None:
-    """Write artifacts in one pass over blocks of rows. A renderer writes its
-    head when started, the lines of each slice of at most 2,048 rows, one list
-    that every renderer is sent and none changes, and its tail at None; an
-    empty block sends nothing. No block is kept once written, so two are never held."""
+    """Write artifacts in one pass over blocks of rows, in one process (two:
+    cli._write_artifacts). A renderer writes its head when started, the lines
+    of each slice of at most 2,048 rows, one list that every renderer is sent
+    and none changes, and its tail at None; an empty block sends nothing. No
+    block is kept once written, so two are never held."""
     for renderer in renderers:
         next(renderer)
     for block in blocks:

@@ -2,13 +2,19 @@
 the renderers run over the held sweep_grid or sweep_workload, byte for byte,
 in every command, format subset and flag combination, and the pass holds one
 block of rows, not the sweep. stream sends no renderer more than 2,048 rows at
-once, and a CLI sweep's blocks hold at most 256."""
+once, and a CLI sweep's blocks hold at most 256. A sweep of cli._FORK_ROWS
+rows or more in all three formats is written by two processes, to the same
+bytes, and no process outlives the command."""
 
 import dataclasses
+import errno
 import io
 import itertools
 import json
+import os
 import random
+import signal
+import subprocess
 import sys
 import tracemalloc
 
@@ -196,6 +202,14 @@ def test_the_workloads_cover_every_shape_and_both_exits():
     assert exits == {False, True}
 
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """An affinity of one CPU, so cli.run writes in this process: tracemalloc,
+    a profiler or a spy sees only this process, and would not see the
+    renderers of a forked writer."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 def traced_peak(argv):
     """The tracemalloc peak of one cli.run, in bytes."""
     tracemalloc.start()
@@ -206,13 +220,14 @@ def traced_peak(argv):
         tracemalloc.stop()
 
 
-def test_a_32k_row_grid_in_all_formats_holds_no_sweep(tmp_path):
+def test_a_32k_row_grid_in_all_formats_holds_no_sweep(tmp_path, one_cpu):
     """32,000 rows (283 B each held) in all three formats: the pass holds one
     block of at most 256 rows and the CSV's memos of one phase, far below the
     9 MB the rows alone would take. The command runs once untraced first, so
     that one-time allocations do not count. The second pass peaks at 0.95-1.0
     MB on Python 3.10-3.13; with a block per (phase, batch) of all 1,000 L
-    values and the memos of both phases kept, it peaked at 1.53-1.59 MB."""
+    values and the memos of both phases kept, it peaked at 1.53-1.59 MB. One
+    CPU keeps every renderer in the traced process."""
     argv = ["sweep", "--model", "dense-70b", "--hardware", "b200-node8",
             "--grid", "B=1..16,L=1000..1000000:log1000", "--out"]
     assert cli.run([*argv, str(tmp_path / "warm")]) == 0
@@ -230,10 +245,10 @@ GROWING_GRIDS = {
 
 
 @pytest.mark.parametrize("grid", list(GROWING_GRIDS))
-def test_memory_does_not_grow_with_the_batch_axis(grid, tmp_path):
+def test_memory_does_not_grow_with_the_batch_axis(grid, tmp_path, one_cpu):
     """16 times the rows on the same L axis, in all formats, hold no more:
     the pass keeps one block of rows and the cells that repeat down a
-    (phase, L) column, none per row."""
+    (phase, L) column, none per row, on one CPU, so in the traced process."""
     model, hardware, flags, lengths = GROWING_GRIDS[grid]
     peaks = {}
     for batches in (4, 64):
@@ -244,7 +259,7 @@ def test_memory_does_not_grow_with_the_batch_axis(grid, tmp_path):
     assert peaks[64] <= peaks[4] + 500_000, peaks
 
 
-def test_a_20k_turn_workload_sweep_stays_bounded(tmp_path):
+def test_a_20k_turn_workload_sweep_stays_bounded(tmp_path, one_cpu):
     """A workload sweep streams like a grid: 20,000 turns of 2,000 prefill and
     200 decode tokens (40,002 rows, 345-374 B each held) in all formats hold
     one block of at most 256 rows and the CSV memos of one slice, under the
@@ -252,7 +267,8 @@ def test_a_20k_turn_workload_sweep_stays_bounded(tmp_path):
     one-time allocations do not count. The second pass peaks at 0.51-0.57 MB
     on Python 3.10-3.13; with the sweep held whole, as sweep_workload holds
     it, it peaked at 14.6-14.8 MB. The bound catches a held path or a memo
-    that grows."""
+    that grows. The sweep is above cli._FORK_ROWS, so one CPU keeps its text
+    and SVG renderers in the traced process."""
     workload = tmp_path / "long.json"
     workload.write_text('{"type": "workload", "name": "long", "turns": 20000, '
                         '"prefill_tokens_per_turn": 2000, "decode_tokens_per_turn": 200}')
@@ -373,3 +389,168 @@ def test_a_grid_is_made_and_rendered_with_no_python_call_per_row():
                              2 * len(blocks) + 40)):
         rendered = python_calls(lambda: reports.stream([renderer(io.StringIO())], blocks))
         assert rendered <= bound, rendered
+
+
+# A grid of 1,000 L values over enough B values to pass cli._FORK_ROWS, and the turns of a
+# workload sweep (2 * turns + 2 rows) of exactly cli._FORK_ROWS rows, the fewest that fork.
+FORK_GRID = ["--grid", f"B=1..{cli._FORK_ROWS // 2_000 + 1},L=1000..1000000:log1000"]
+FORK_TURNS = cli._FORK_ROWS // 2 - 1
+
+
+def workload_flags(tmp_path, turns):
+    workload = tmp_path / f"w{turns}.json"
+    workload.write_text(json.dumps({"type": "workload", "name": "long", "turns": turns,
+                                    "prefill_tokens_per_turn": 2000,
+                                    "decode_tokens_per_turn": 200}))
+    return ["--workload", str(workload)]
+
+
+def run_sweep(points, out, *extra):
+    return cli.run(["sweep", "--model", "dense-70b", "--hardware", "b200-node8", *points,
+                    "--out", str(out), *extra])
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """An affinity of two CPUs, and the pids os.fork returns to this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("kind", ["grid", "workload"])
+def test_a_forked_sweep_writes_the_bytes_of_one_process(kind, tmp_path, forks, monkeypatch):
+    """At cli._FORK_ROWS rows in all formats the child writes the text and
+    SVG, this process the CSV, and each file equals the one-CPU run's byte for
+    byte; the child is reaped before cli.run returns."""
+    points = FORK_GRID if kind == "grid" else workload_flags(tmp_path, FORK_TURNS)
+    assert run_sweep(points, tmp_path / "forked") == 0
+    assert len(forks) == 1
+    assert_no_child()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run_sweep(points, tmp_path / "one") == 0
+    assert len(forks) == 1
+    assert (tmp_path / "one" / "sweep.csv").read_text().count("\n") > cli._FORK_ROWS
+    for name in ("sweep.csv", "sweep.txt", "sweep.svg"):
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def failing(*args):
+    """A renderer that raises at its first rows."""
+    yield
+    raise RuntimeError("renderer failed")
+
+
+@pytest.mark.parametrize("fmt, error", [("stream_sweep_text", ChildProcessError),
+                                        ("stream_sweep_csv", RuntimeError)],
+                         ids=["text-in-child", "csv-in-parent"])
+def test_a_renderer_that_raises_in_either_process_removes_every_artifact(
+        fmt, error, tmp_path, forks, monkeypatch, capfd):
+    """A renderer raises in the child (text) or in this process (CSV): cli.run
+    raises, no artifact is left, and the child has been reaped. The child
+    reports its own error on stderr and exits 1, which fails the run; when
+    this process fails, it stops the child with SIGTERM before reaping it."""
+    statuses, waitpid = [], os.waitpid
+
+    def reaped(pid, options):
+        statuses.append(waitpid(pid, options)[1])
+        return pid, statuses[-1]
+
+    monkeypatch.setattr(reports, fmt, failing)
+    monkeypatch.setattr(os, "waitpid", reaped)
+    with pytest.raises(error):
+        run_sweep(FORK_GRID, tmp_path / "out")
+    assert len(forks) == 1
+    assert_no_child()
+    assert list((tmp_path / "out").iterdir()) == []
+    if error is ChildProcessError:
+        assert "error: RuntimeError('renderer failed')\n" in capfd.readouterr().err
+        assert statuses == [1 << 8]  # exited 1
+    else:  # stopped, not left to finish files that are removed
+        assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGTERM
+
+
+@pytest.mark.parametrize("below, formats, cpus", [
+    (1, "csv,svg,text", {0, 1}), (0, "csv", {0, 1}), (0, "csv,svg", {0, 1}),
+    (0, "csv,text", {0, 1}), (0, "svg,text", {0, 1}), (0, "csv,svg,text", {0})],
+    ids=["below-threshold", "csv", "csv,svg", "csv,text", "svg,text", "one-cpu"])
+def test_no_fork_below_the_threshold_in_fewer_formats_or_on_one_cpu(
+        below, formats, cpus, tmp_path, monkeypatch):
+    """A workload 2 rows below cli._FORK_ROWS, or one at it in one or two
+    formats or on one CPU: os.fork is never called. Only all three formats
+    were measured to gain from a second process."""
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    out = tmp_path / "out"
+    turns = FORK_TURNS - below
+    assert run_sweep(workload_flags(tmp_path, turns), out, "--format", formats) == 0
+    assert sorted(path.suffix for path in out.iterdir()) == sorted(
+        f".{cli._EXTENSIONS[fmt]}" for fmt in formats.split(","))
+    if "csv" in formats:
+        assert (out / "sweep.csv").read_text().count("\n") == 2 * turns + 3
+
+
+def test_a_fork_that_fails_writes_every_format_in_this_process(tmp_path, monkeypatch):
+    """With no process to spare, os.fork raising EAGAIN, the sweep is written
+    in this process, to the one-CPU run's bytes."""
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    points = workload_flags(tmp_path, FORK_TURNS)
+    assert run_sweep(points, tmp_path / "unforked") == 0
+    assert calls == [1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run_sweep(points, tmp_path / "one") == 0
+    for name in ("sweep.csv", "sweep.txt", "sweep.svg"):
+        assert (tmp_path / "unforked" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_a_child_stops_at_its_next_block_once_its_parent_is_gone(tmp_path, forks, monkeypatch):
+    """A child that finds another parent (os.getppid faked in both
+    processes, as only the child calls it) exits 1 at its first block, so
+    the run fails and leaves no artifact."""
+    monkeypatch.setattr(os, "getppid", lambda: -1)
+    with pytest.raises(ChildProcessError, match="exited with 1"):
+        run_sweep(FORK_GRID, tmp_path / "out")
+    assert len(forks) == 1
+    assert_no_child()
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_the_child_runs_no_atexit_handler_and_flushes_no_inherited_stdio(tmp_path):
+    """A process that forks: its atexit handler runs once, and text its
+    stdout buffered before the fork is written once, by this process."""
+    script = f"""
+import atexit, os, sys
+from caproof import cli
+os.sched_getaffinity = lambda pid: {{0, 1}}
+atexit.register(lambda: print("atexit"))
+print("buffered", end=" ")
+sys.exit(cli.run(["sweep", "--model", "dense-70b", "--hardware", "b200-node8",
+                  *{FORK_GRID!r}, "--out", {str(tmp_path / "out")!r}]))
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "buffered atexit\n", "")
+    assert (tmp_path / "out" / "sweep.svg").read_text().endswith("</svg>\n")
